@@ -1,14 +1,13 @@
-"""Extended-precision backend for the biorthogonality Gram matrix.
+"""Extended-precision arithmetic for the biorthogonality Gram matrix.
 
 The delta identity ∫ P_n Q_l = δ_{n,l} cancels polynomial lobe masses that
 reach ~1e7 at N = 6, so verifying it to 1e-8 absolute needs integrand
-values beyond double precision.  This module re-runs the same contour
-machinery in numpy's extended (x86 80-bit) precision: a Stirling-series
-complex log-gamma replaces the Lanczos one, Gauss-Legendre nodes are
-Newton-refined, and exact rational P-coefficients are used.
-
-Only the Gram matrix lives here; all interactive evaluators stay in
-double precision in finite_kernel.
+values beyond double precision.  This module holds what numpy's extended
+(x86 80-bit) precision needs on top of the double-precision code: a
+Stirling-series complex log-gamma, Newton-refined Gauss-Legendre nodes and
+exact rational P-coefficients.  Q_l itself comes from
+finite_kernel.BiorthSystem, which works in the precision of the points it
+is given: gram_matrix hands it longdouble nodes.
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from .freeprob import EnsembleParams
+from .specfun import pi_in, reflected_ln_gamma
 
 LD = np.longdouble
 CLD = np.clongdouble
 
-_PI = LD("3.14159265358979323846264338327950288420")
-_LOG_PI = np.log(_PI)
-_LOG_2PI_HALF = 0.5 * np.log(2 * _PI)
+_LOG_2PI_HALF = 0.5 * np.log(2 * pi_in(LD))
 
 # B_{2j} / (2j (2j-1)) for the Stirling series, j = 1..11
 _STIRLING = [
@@ -68,76 +66,22 @@ def _lngamma_right(z: np.ndarray) -> np.ndarray:
     return shift + (z - 0.5) * np.log(z) - z + _LOG_2PI_HALF + ser
 
 
-def _log_sin_pi(z: np.ndarray) -> np.ndarray:
-    x = np.real(z)
-    y = np.imag(z)
-    zz = np.where(y >= 0, z, np.conj(z))
-    w = np.exp(2j * _PI * zz)
-    re = _PI * np.abs(y) - np.log(LD(2.0)) + np.log(np.abs(1.0 - w))
-    im = _PI / 2 - _PI * np.real(zz) + np.angle(1.0 - w)
-    im = np.mod(im + _PI, 2 * _PI) - _PI
-    out = re + 1j * im
-    return np.where(y >= 0, out, np.conj(out)).astype(CLD)
-
-
 def lngamma(z) -> np.ndarray:
     """Principal-branch complex log-gamma in extended precision."""
-    z = np.asarray(z, dtype=CLD)
-    out = np.empty_like(z)
-    right = np.real(z) >= 0.5
-    if right.any():
-        out[right] = _lngamma_right(z[right])
-    if (~right).any():
-        zr = z[~right]
-        winding = 2 * _PI * np.sign(np.imag(zr)) * np.floor(0.5 * np.real(zr) + 0.25)
-        out[~right] = (_LOG_PI + 1j * winding.astype(CLD)) - _log_sin_pi(zr) - _lngamma_right(1.0 - zr)
-    return out
+    return reflected_ln_gamma(np.asarray(z, dtype=CLD), _lngamma_right)
 
 
 def leggauss_ld(order: int):
     """Gauss-Legendre nodes/weights Newton-refined in longdouble."""
-    x0, _ = np.polynomial.legendre.leggauss(order)
-    x = x0.astype(LD)
-    for _ in range(3):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
+    x = np.polynomial.legendre.leggauss(order)[0].astype(LD)
+    for step in range(4):
+        p0, p1 = np.ones_like(x), x.copy()
         for k in range(2, order + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / LD(k)
         dp = order * (x * p1 - p0) / (x * x - 1)
+        if step == 3:
+            return x, 2.0 / ((1.0 - x * x) * dp * dp)
         x = x - p1 / dp
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, order + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / LD(k)
-    dp = order * (x * p1 - p0) / (x * x - 1)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x, w
-
-
-def _gl_panels(height: float, order: int):
-    xg, wg = leggauss_ld(order)
-    edges = np.append(np.arange(0.0, height - 1e-12, 2.0), height).astype(LD)
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = (hi + lo) / 2, (hi - lo) / 2
-        ts.append(mid + half * xg)
-        ws.append(half * wg)
-    t_pos = np.concatenate(ts)
-    w_pos = np.concatenate(ws)
-    return np.concatenate([-t_pos[::-1], t_pos]), np.concatenate([w_pos[::-1], w_pos])
-
-
-def _geometric_grid(lo: float, hi: float, order: int = 20, ratio: float = 1.5):
-    xg, wg = leggauss_ld(order)
-    edges = [LD(lo)]
-    while edges[-1] < hi:
-        edges.append(min(edges[-1] * LD(ratio), LD(hi)))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2, (b - a) / 2
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _p_coefficients(params: EnsembleParams, n: int) -> list[Fraction]:
@@ -174,96 +118,10 @@ def _p_matrix(params: EnsembleParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _QEvaluator:
-    """Regime-routed Q_l evaluation in extended precision."""
-
-    def __init__(self, params: EnsembleParams):
-        self.params = params
-        ls = np.arange(params.N)
-        self.log_abs_C = np.real(lngamma((ls + 1).astype(CLD)))
-        for v in params.nu:
-            self.log_abs_C += np.real(lngamma((v + ls + 1).astype(CLD)))
-        for m in params.mu:
-            self.log_abs_C += np.real(lngamma((m + params.N - ls).astype(CLD)))
-        kappa = 0.5 * math.pi * (params.r + params.s)
-        self._height = max(12.0, 85.0 / kappa)
-        self._lines: dict[tuple, dict] = {}
-
-    def _line(self, key, abscissa: float, height: float, order: int) -> dict:
-        line = self._lines.get(key)
-        if line is not None:
-            return line
-        t, w = _gl_panels(height, order)
-        u = (LD(abscissa) + 1j * t).astype(CLD)
-        base = lngamma(-u)
-        for v in self.params.nu:
-            base = base + lngamma(v - u)
-        for m in self.params.mu:
-            base = base + lngamma(1.0 + m + self.params.N + u)
-        ls = np.arange(self.params.N)
-        log_f = base[None, :] - lngamma(-ls[:, None] - u[None, :]) - self.log_abs_C[:, None].astype(CLD)
-        coeff = None
-        if float(np.max(np.real(log_f))) < 10000.0:
-            with np.errstate(under="ignore"):
-                coeff = np.exp(log_f) * w[None, :].astype(CLD) / (2 * _PI)
-        line = {"u": u, "w": w, "log_f": log_f, "coeff": coeff}
-        self._lines[key] = line
-        return line
-
-    def _eval(self, line: dict, x: np.ndarray) -> np.ndarray:
-        log_x = np.log(x.astype(LD)).astype(CLD)
-        with np.errstate(under="ignore", over="ignore"):
-            if line["coeff"] is not None:
-                powers = np.exp(np.outer(line["u"], log_x))
-                vals = line["coeff"] @ powers
-            else:
-                ex = np.exp(line["log_f"][:, :, None] + line["u"][None, :, None] * log_x[None, None, :])
-                vals = np.einsum("i,lij->lj", line["w"].astype(CLD), ex) / (2 * _PI)
-        return np.real(vals)
-
-    def q_matrix(self, x: np.ndarray) -> np.ndarray:
-        params = self.params
-        out = np.empty((params.N, len(x)), dtype=LD)
-        small = x < 1e-6
-        mid = (x <= 8.0) & ~small
-        high = x > 8.0
-        if small.any():
-            out[:, small] = self._eval(self._line(("small",), -0.5, self._height, 256), x[small])
-        if mid.any():
-            out[:, mid] = self._eval(self._line(("mid",), -0.5, self._height, 96), x[mid])
-        if high.any():
-            if params.s >= 1:
-                c = -(params.N + min(params.mu) + 0.5)
-                line = self._line(("deep",), c, self._height + 2.0 * abs(c), 160)
-                out[:, high] = self._eval(line, x[high])
-            else:
-                self._saddle_group(x, out, high)
-        return out
-
-    def _saddle_group(self, x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
-        sigma = self.params.r
-        cols = np.nonzero(mask)[0]
-        xs = x[cols].astype(float)
-        expo = sigma * xs ** (1.0 / sigma)
-        dead = expo > 11000.0  # extended-precision underflow
-        out[:, cols[dead]] = 0.0
-        live = ~dead
-        keys = np.round(2.0 * np.log(xs[live])) / 2.0
-        for key in np.unique(keys):
-            xc = math.exp(key)
-            c = -max(0.5, xc ** (1.0 / sigma))
-            height = max(12.0, 1.3 * abs(c) + 30.0)
-            rate = (sigma + 1) * math.log(1.0 + abs(c)) + abs(key)
-            order = max(32, int(1.5 * rate) + 24)
-            line = self._line(("saddle", key), c, height, order)
-            sel = keys == key
-            out[:, cols[live][sel]] = self._eval(line, x[cols[live][sel]])
-
-
 def gram_matrix(params: EnsembleParams, lo: float, hi: float) -> np.ndarray:
     """∫_0^∞ P_n Q_l dx over the given support window, in extended precision."""
-    nodes, weights = _geometric_grid(lo, hi)
-    p_mat = _p_matrix(params, nodes)
-    q_mat = _QEvaluator(params).q_matrix(nodes)
-    gram = (p_mat * weights[None, :]) @ q_mat.T
+    from .finite_kernel import biorth_system, geometric_gl_grid
+
+    nodes, weights = geometric_gl_grid(lo, hi, leggauss_ld(20))
+    gram = (_p_matrix(params, nodes) * weights[None, :]) @ biorth_system(params).q_matrix(nodes).T
     return gram.astype(float)

@@ -53,7 +53,7 @@ def write_table(path, header, rows, meta: dict, fmt: str = "csv"):
     meta["config_hash"] = _config_hash(meta)
     if fmt == "json":
         doc = {"columns": header, "rows": [[_fmt(v) for v in row] for row in rows], "meta": meta}
-        text = json.dumps(doc, indent=1) + "\n"
+        text = json.dumps(doc, indent=1, default=str) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]

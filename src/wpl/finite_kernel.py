@@ -19,10 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _hiprec
 from .config import QUAD_TOL_DEFAULT
 from .errors import ContourCollision, DomainError, InternalImaginaryResidue
 from .freeprob import EnsembleParams
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, ln_gamma, meijer_g, pfq
+from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, gl_line, gl_panels, ln_gamma, meijer_g, pfq, pi_in
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
 
@@ -88,18 +89,17 @@ def p_n(params: EnsembleParams, n: int, x):
     return sign * pref * series
 
 
-def _gl_panels(height: float, order: int):
-    """Composite GL nodes on [-height, height], mirror-symmetric about 0."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = np.append(np.arange(0.0, height - 1e-12, 2.0), height)
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        ts.append(mid + half * xg)
-        ws.append(half * wg)
-    t_pos = np.concatenate(ts)
-    w_pos = np.concatenate(ws)
-    return np.concatenate([-t_pos[::-1], t_pos]), np.concatenate([w_pos[::-1], w_pos])
+def _working_precision(dtype):
+    """The log-gamma and Gauss-Legendre rule that work in `dtype`."""
+    if dtype == np.longdouble:
+        return _hiprec.lngamma, _hiprec.leggauss_ld
+    return ln_gamma, np.polynomial.legendre.leggauss
+
+
+def _log_max(dtype) -> float:
+    """Largest line exponent for which coeff = e^{log_f} w leaves e^110 of
+    headroom below the dtype's overflow for the x^u factors and the node sum."""
+    return float(np.log(np.finfo(dtype).max)) - 110.0
 
 
 class BiorthSystem:
@@ -113,6 +113,12 @@ class BiorthSystem:
     tail is algebraic and the integrand then sits at the answer's own
     magnitude), and through the real saddle at -x^{1/r} for large x when
     s = 0 (superexponential decay; no left poles obstruct the shift).
+
+    The working precision follows the points given to q_matrix: longdouble
+    points are evaluated in extended precision (Stirling log-gamma,
+    Newton-refined nodes, tolerance scaled by the dtype's epsilon), which
+    the Gram matrix needs; any other points in float64.  Lines are built
+    once per (regime, dtype).
     """
 
     def __init__(self, params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT):
@@ -121,63 +127,80 @@ class BiorthSystem:
         N = params.N
         self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(N)])
         self.C = np.array([(-1.0) ** l * math.exp(v) for l, v in enumerate(self.log_abs_C)])
+        self._lines: dict[tuple, dict] = {}
+        self._line("mid", np.float64)
 
-        kappa = 0.5 * math.pi * (params.r + params.s)
-        height = max(12.0, (math.log(1.0 / tol) + 40.0) / kappa)
-        self._mid = self._build_line(_Q_ABSCISSA, height, order=96)
-        self._deep = None  # built on demand (s >= 1 large-x line)
-        self._small = None  # built on demand (x < 1e-6 line)
-        self._saddle_lines: dict[float, dict] = {}
+    def _tol(self, dtype) -> float:
+        # the float64 target, tightened by the working precision's extra digits
+        return self.tol * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
 
-    def _build_line(self, abscissa: float, height: float, order: int):
-        t, w = _gl_panels(height, order)
-        u = abscissa + 1j * t
-        base = ln_gamma(-u)  # ν_0 = 0
-        for nu in self.params.nu:
-            base = base + ln_gamma(nu - u)
-        for mu in self.params.mu:
-            base = base + ln_gamma(1.0 + mu + self.params.N + u)
-        ls = np.arange(self.params.N)
-        log_f = base[None, :] - ln_gamma(-ls[:, None] - u[None, :]) - self.log_abs_C[:, None]
+    def _geometry(self, regime, tol: float):
+        """Abscissa, half-height and per-panel order of a regime's line."""
+        p = self.params
+        kappa = 0.5 * math.pi * (p.r + p.s)
+        reach = (math.log(1.0 / tol) + 40.0) / kappa
+        if regime == "mid":
+            return _Q_ABSCISSA, max(12.0, reach), 96
+        if regime == "small":  # x below 1e-6: x^{it} oscillates fast along the line
+            return _Q_ABSCISSA, max(12.0, reach), 256
+        if regime == "deep":  # s >= 1: half a unit right of the first left pole
+            c = -(p.N + min(p.mu) + 0.5)
+            return c, max(12.0, reach + 2.0 * abs(c)), 160
+        # s = 0: through the saddle of the bucket whose ln x is `regime`
+        c = -max(0.5, math.exp(regime) ** (1.0 / p.r))
+        # phase rate per unit height: gamma args plus x^{it} oscillation
+        rate = (p.r + 1) * math.log(1.0 + abs(c)) + abs(regime)
+        return c, max(12.0, 1.3 * abs(c) + 30.0), max(32, int(1.5 * rate) + 24)
+
+    def _line(self, regime, dtype) -> dict:
+        """The line of a regime in a working precision, built on first use."""
+        if (regime, dtype) in self._lines:
+            return self._lines[(regime, dtype)]
+        p = self.params
+        lg, leggauss = _working_precision(dtype)
+
+        def log_gammas(u):  # ln Γ(-u) Π Γ(ν_j - u) Π Γ(1 + μ_p + N + u), ν_0 = 0
+            out = lg(-u)
+            for nu in p.nu:
+                out = out + lg(nu - u)
+            for mu in p.mu:
+                out = out + lg(1.0 + mu + p.N + u)
+            return out
+
+        c, height, order = self._geometry(regime, self._tol(dtype))
+        t, w = gl_line(height, leggauss(order))
+        u = c + 1j * t
+        ls = np.arange(p.N)
+        # |C_l| is the gamma product at u = -(l+1)
+        log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(log_gammas(-(ls + 1).astype(dtype)))
+        log_f = log_gammas(u)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
+        two_pi = 2 * pi_in(dtype)
+        # ln Σ_i |coeff[l, i]|: with |x^u| = x^c it bounds the unsigned mass
+        mass = np.real(log_f) + np.log(w)
+        top = np.max(mass, axis=1)
+        log_mass = top + np.log(np.sum(np.exp(mass - top[:, None]), axis=1)) - np.log(two_pi)
         coeff = None
-        if float(np.max(log_f.real)) < 600.0:
+        if float(np.max(log_f.real)) < _log_max(dtype):
             with np.errstate(under="ignore"):
-                coeff = np.exp(log_f) * w[None, :] / (2.0 * math.pi)
-        return {"u": u, "w": w, "log_f": log_f, "coeff": coeff}
-
-    def _deep_line(self):
-        # valid for s >= 1: abscissa half a unit right of the first left pole
-        if self._deep is None:
-            c = -(self.params.N + min(self.params.mu) + 0.5)
-            kappa = 0.5 * math.pi * (self.params.r + self.params.s)
-            height = max(12.0, (math.log(1.0 / self.tol) + 40.0) / kappa + 2.0 * abs(c))
-            self._deep = self._build_line(c, height, order=160)
-        return self._deep
-
-    def _small_line(self):
-        # x below 1e-6: x^{it} oscillates fast along the line; needs high order
-        if self._small is None:
-            kappa = 0.5 * math.pi * (self.params.r + self.params.s)
-            height = max(12.0, (math.log(1.0 / self.tol) + 40.0) / kappa)
-            self._small = self._build_line(_Q_ABSCISSA, height, order=256)
-        return self._small
+                coeff = np.exp(log_f) * w[None, :] / two_pi
+        line = {"c": c, "u": u, "w": w, "log_f": log_f, "coeff": coeff, "log_mass": log_mass, "two_pi": two_pi}
+        self._lines[(regime, dtype)] = line
+        return line
 
     def _eval_line(self, line, x: np.ndarray) -> np.ndarray:
         log_x = np.log(x)
         with np.errstate(under="ignore", over="ignore"):
             if line["coeff"] is not None:
-                powers = np.exp(np.outer(line["u"], log_x))
-                vals = line["coeff"] @ powers
-                mag = np.abs(line["coeff"]) @ np.abs(powers)
+                vals = line["coeff"] @ np.exp(np.outer(line["u"], log_x))
             else:
                 # fold x^u into the exponent so saddle-shifted lines stay in range
                 ex = np.exp(line["log_f"][:, :, None] + line["u"][None, :, None] * log_x[None, None, :])
-                vals = np.einsum("i,lij->lj", line["w"], ex) / (2.0 * math.pi)
-                mag = np.einsum("i,lij->lj", line["w"], np.abs(ex)) / (2.0 * math.pi)
+                vals = np.einsum("i,lij->lj", line["w"], ex) / line["two_pi"]
+            mag = np.exp(np.max(line["log_mass"]) + np.max(line["c"] * log_x))
         scale = max(float(np.max(np.abs(vals.real), initial=0.0)), 1e-280)
-        # conjugate pairs cancel Im exactly; the float residue scales with the
-        # unsigned integrand mass, larger residues indicate a contour bug
-        allowed = max(1e3 * self.tol * max(1.0, scale), 1e-12 * float(np.max(mag)))
+        # conjugate pairs cancel Im exactly; the rounding residue scales with
+        # the unsigned integrand mass, larger residues indicate a contour bug
+        allowed = max(1e3 * self._tol(x.dtype) * max(1.0, scale), 1e-12 * float(mag))
         imax = float(np.max(np.abs(vals.imag), initial=0.0))
         if imax > allowed:
             raise InternalImaginaryResidue(f"Q contour imaginary residue {imax}")
@@ -191,41 +214,34 @@ class BiorthSystem:
         """
         sigma = self.params.r
         expo = sigma * x ** (1.0 / sigma)  # magnitude scale e^{-expo} at the saddle
-        dead = expo > 700.0  # below double-precision underflow
+        dead = expo > -np.log(np.finfo(x.dtype).tiny)  # below the dtype's underflow
         out[:, cols[dead]] = 0.0
         live = ~dead
         keys = np.round(4.0 * np.log(x[live])) / 4.0
         for key in np.unique(keys):
-            line = self._saddle_lines.get(key)
-            if line is None:
-                xc = math.exp(key)
-                c = -max(0.5, xc ** (1.0 / sigma))
-                height = max(12.0, 1.3 * abs(c) + 30.0)
-                # phase rate per unit height: gamma args plus x^{it} oscillation
-                rate = (self.params.r + 1) * math.log(1.0 + abs(c)) + abs(key)
-                order = max(32, int(1.5 * rate) + 24)
-                line = self._build_line(c, height, order=order)
-                self._saddle_lines[key] = line
             sel = keys == key
-            out[:, cols[live][sel]] = self._eval_line(line, x[live][sel])
+            out[:, cols[live][sel]] = self._eval_line(self._line(float(key), x.dtype.type), x[live][sel])
 
     def q_matrix(self, x: np.ndarray) -> np.ndarray:
-        """All Q_l (rows l = 0..N-1) on an array of positive points."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty((self.params.N, len(x)))
+        """All Q_l (rows l = 0..N-1) on an array of positive points.
+
+        Longdouble points give longdouble values; anything else float64.
+        """
+        x = np.asarray(x)
+        x = x.astype(np.longdouble if x.dtype == np.longdouble else np.float64, copy=False)
+        out = np.empty((self.params.N, len(x)), dtype=x.dtype)
         # beyond x ~ 8 the shifted lines sit at the answer's own magnitude,
         # while the -1/2 line starts to lose digits to cancellation
         x_hi = 8.0
         small = x < 1e-6
         mid = (x <= x_hi) & ~small
         high = x > x_hi
-        if np.any(small):
-            out[:, small] = self._eval_line(self._small_line(), x[small])
-        if np.any(mid):
-            out[:, mid] = self._eval_line(self._mid, x[mid])
+        for regime, sel in (("small", small), ("mid", mid)):
+            if np.any(sel):
+                out[:, sel] = self._eval_line(self._line(regime, x.dtype.type), x[sel])
         if np.any(high):
             if self.params.s >= 1:
-                out[:, high] = self._eval_line(self._deep_line(), x[high])
+                out[:, high] = self._eval_line(self._line("deep", x.dtype.type), x[high])
             else:
                 self._eval_saddle_group(x[high], out, np.nonzero(high)[0])
         return out
@@ -295,7 +311,7 @@ def kernel_n_contour(
 
     kappa = 0.5 * math.pi * (r + s + 1)
     height = max(12.0, (math.log(1.0 / tol) + 40.0 + (N + 1) * math.log(N + 2.0)) / kappa)
-    tnodes, wu = _gl_panels(height, order=48)
+    tnodes, wu = gl_line(height, np.polynomial.legendre.leggauss(48))
     u = -0.5 + 1j * tnodes
 
     center = 0.5 * (N - 1)
@@ -450,24 +466,20 @@ def _origin_cut(params: EnsembleParams) -> float:
     return max(1e-28, 10.0 ** -(16.0 + log10_p0))
 
 
-def _geometric_gl_grid(lo: float, hi: float, order: int = 20, ratio: float = 1.5):
-    """GL nodes/weights on geometric panels of [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = [lo]
+def geometric_gl_grid(lo: float, hi: float, rule, ratio: float = 1.5):
+    """Gauss-Legendre `rule` on geometric panels of [lo, hi], in the rule's dtype."""
+    dtype = rule[0].dtype.type
+    edges = [dtype(lo)]
     while edges[-1] < hi:
-        edges.append(min(edges[-1] * ratio, hi))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+        edges.append(min(edges[-1] * dtype(ratio), dtype(hi)))
+    return gl_panels(rule, edges)
 
 
 @lru_cache(maxsize=16)
 def _biorth_quadrature(params: EnsembleParams):
     sys = biorth_system(params)
-    nodes, weights = _geometric_gl_grid(_origin_cut(params), _support_cut(params, sys))
+    rule = np.polynomial.legendre.leggauss(20)
+    nodes, weights = geometric_gl_grid(_origin_cut(params), _support_cut(params, sys), rule)
     p_mat = sys.p_matrix(nodes)
     q_mat = sys.q_matrix(nodes)
     return nodes, weights, p_mat, q_mat
@@ -475,26 +487,26 @@ def _biorth_quadrature(params: EnsembleParams):
 
 @lru_cache(maxsize=16)
 def _biorth_gram(params: EnsembleParams) -> np.ndarray:
-    from . import _hiprec
-
     sys = biorth_system(params)
     return _hiprec.gram_matrix(params, _origin_cut(params), _support_cut(params, sys))
 
 
-def biorth_matrix(params: EnsembleParams, tol: float = 1e-10) -> np.ndarray:
+def biorth_matrix(params: EnsembleParams) -> np.ndarray:
     """Gram matrix ∫_0^∞ P_n Q_l dx for 0 <= n, l <= N-1 (identity if exact).
 
-    Gauss-Legendre on geometric panels covering (lo, X_cut) with the cuts
-    placed where the integrand mass is below tolerance.  The polynomial
-    lobes cancel masses of order 1e7 at N = 6, so the integrand is
-    evaluated through the extended-precision backend.
+    The polynomial lobes cancel masses of order 1e7 at N = 6, so P_n and
+    Q_l are evaluated in longdouble (exact rational P coefficients, the
+    BiorthSystem lines in extended precision).  The accuracy is set by that
+    precision and by the grid: 20-node Gauss-Legendre on geometric panels
+    (ratio 1.5) covering (lo, X_cut), with the cuts placed where the
+    remaining integrand mass is below ~1e-11.
     """
     return _biorth_gram(params).copy()
 
 
-def biorth_inner(params: EnsembleParams, n: int, l: int, tol: float = 1e-10) -> float:
-    """∫_0^∞ P_n(x) Q_l(x) dx (shares the cached quadrature grid)."""
-    return float(biorth_matrix(params, tol)[n, l])
+def biorth_inner(params: EnsembleParams, n: int, l: int) -> float:
+    """∫_0^∞ P_n(x) Q_l(x) dx: one entry of the cached biorth_matrix."""
+    return float(biorth_matrix(params)[n, l])
 
 
 def kernel_trace(params: EnsembleParams) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import QUAD_TOL_DEFAULT
 from .errors import CoincidentPoints, DomainError, UnsupportedR
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, pfq
+from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, gl_panels, pfq
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,7 @@ def _u_grid(x: float, y: float, r: int):
     phase = 3.0 * ((max(x, y)) ** (1.0 / (r + 1))) + 8.0  # oscillation budget
     n_panels = max(24, int(t_max * 1.2), int(2.0 * phase))
     edges = np.linspace(0.0, t_max, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(12)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wt = (half[:, None] * wg[None, :]).ravel()
+    t, wt = gl_panels(np.polynomial.legendre.leggauss(12), edges)
     u = np.exp(-t)
     return u, wt * u  # du = e^{-t} dt
 

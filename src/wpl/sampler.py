@@ -24,6 +24,7 @@ import scipy.linalg
 from .config import effective_workers
 from .errors import AlreadyScaled, DomainError, EmptySample, NumericalSingularity
 from .freeprob import EnsembleParams
+from .specfun import gl_panels
 
 _CHUNK = 1024
 _COND_SWITCH = 1e12
@@ -359,12 +360,9 @@ class CdfFromDensity:
     def __init__(self, density, lo: float, hi: float, n_panels: int = 512, order: int = 12):
         self.lo, self.hi = float(lo), float(hi)
         edges = np.linspace(self.lo, self.hi, n_panels + 1)
-        xg, wg = np.polynomial.legendre.leggauss(order)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mids[:, None] + halfs[:, None] * xg[None, :]
-        vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        panel = (vals * wg[None, :]).sum(axis=1) * halfs
+        nodes, weights = gl_panels(np.polynomial.legendre.leggauss(order), edges)
+        vals = np.asarray(density(nodes), dtype=float)
+        panel = (vals * weights).reshape(n_panels, order).sum(axis=1)
         self.edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(panel)])
         self.total = self.cum[-1]

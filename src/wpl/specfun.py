@@ -43,7 +43,8 @@ from .errors import (
 # numpy complex128; no wrapper type is needed.
 
 _LOG_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
+# parsed in the working dtype, so longdouble gets all of its digits
+_PI_DIGITS = "3.14159265358979323846264338327950288420"
 
 # Lanczos g=7, n=9 coefficient set; ~1e-15 relative in Gamma on Re z >= 0.5.
 _LANCZOS_G = 7.0
@@ -70,17 +71,40 @@ def _ln_gamma_right(z: np.ndarray) -> np.ndarray:
     return _LOG_2PI_HALF + (w + 0.5) * np.log(t) - t + np.log(series)
 
 
-def _log_sin_pi(z: np.ndarray) -> np.ndarray:
+def pi_in(dtype):
+    """π to the full precision of a numpy float dtype."""
+    return np.dtype(dtype).type(_PI_DIGITS)
+
+
+def _log_sin_pi(z: np.ndarray, pi) -> np.ndarray:
     """Principal Log(sin(pi z)), overflow-safe for large |Im z|."""
-    x = np.real(z)
     y = np.imag(z)
     zz = np.where(y >= 0, z, np.conj(z))
-    w = np.exp(2j * math.pi * zz)  # |w| <= 1
-    re = math.pi * np.abs(y) - math.log(2.0) + np.log(np.abs(1.0 - w))
-    im = math.pi / 2 - math.pi * np.real(zz) + np.angle(1.0 - w)
-    im = np.mod(im + math.pi, 2.0 * math.pi) - math.pi
+    w = np.exp(2j * pi * zz)  # |w| <= 1
+    re = pi * np.abs(y) - np.log(type(pi)(2)) + np.log(np.abs(1.0 - w))
+    im = pi / 2 - pi * np.real(zz) + np.angle(1.0 - w)
+    im = np.mod(im + pi, 2 * pi) - pi
     out = re + 1j * im
     return np.where(y >= 0, out, np.conj(out))
+
+
+def reflected_ln_gamma(z: np.ndarray, ln_gamma_right) -> np.ndarray:
+    """Principal-branch log-gamma from `ln_gamma_right`, valid on Re z >= 0.5.
+
+    Elsewhere the reflection Γ(z) Γ(1 - z) = π / sin(πz) applies, with Hare's
+    winding correction keeping it on the principal branch.  Works in the
+    precision of z (complex128 or clongdouble).
+    """
+    out = np.empty_like(z)
+    right = np.real(z) >= 0.5
+    if np.any(right):
+        out[right] = ln_gamma_right(z[right])
+    if np.any(~right):
+        zr = z[~right]
+        pi = pi_in(np.real(zr).dtype)
+        winding = 2 * pi * np.sign(zr.imag) * np.floor(0.5 * zr.real + 0.25)
+        out[~right] = (np.log(pi) + 1j * winding) - _log_sin_pi(zr, pi) - ln_gamma_right(1.0 - zr)
+    return out
 
 
 def ln_gamma(z):
@@ -97,16 +121,7 @@ def ln_gamma(z):
     on_pole = (z_arr.imag == 0.0) & (z_arr.real <= 0.0) & (z_arr.real == np.floor(z_arr.real))
     if np.any(on_pole):
         raise PoleError(f"log-gamma pole at nonpositive integer {z_arr[on_pole][0]}")
-
-    out = np.empty_like(z_arr)
-    right = z_arr.real >= 0.5
-    if np.any(right):
-        out[right] = _ln_gamma_right(z_arr[right])
-    if np.any(~right):
-        zr = z_arr[~right]
-        # Hare's correction keeps the reflection on the principal branch.
-        winding = 2.0 * math.pi * np.sign(zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        out[~right] = (_LOG_PI + 1j * winding) - _log_sin_pi(zr) - _ln_gamma_right(1.0 - zr)
+    out = reflected_ln_gamma(z_arr, _ln_gamma_right)
     return out[0] if scalar else out
 
 
@@ -323,20 +338,23 @@ def _mb_log_integrand(spec: MeijerSpec, s: np.ndarray) -> np.ndarray:
     return g
 
 
-def _gl_line_nodes(c: float, height: float, order: int):
-    """Gauss-Legendre nodes/weights on the segment [c - i*height, c + i*height],
-    assembled from width-2 panels mirror-symmetric about the real axis,
-    parameterized by t in s = c + i t."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = np.append(np.arange(0.0, height - 1e-12, 2.0), height)
-    ts, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        ts.append(mid + half * xg)
-        ws.append(half * wg)
-    t_pos = np.concatenate(ts)
-    w_pos = np.concatenate(ws)
-    return np.concatenate([-t_pos[::-1], t_pos]), np.concatenate([w_pos[::-1], w_pos])
+def gl_panels(rule, edges):
+    """Composite Gauss-Legendre nodes and weights over [edges[i], edges[i+1]].
+
+    `rule` is a (nodes, weights) pair on [-1, 1]; the result is in its dtype.
+    """
+    xg, wg = rule
+    edges = np.asarray(edges).astype(xg.dtype)
+    mid = (edges[1:] + edges[:-1]) / 2
+    half = (edges[1:] - edges[:-1]) / 2
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
+def gl_line(height, rule):
+    """Nodes t and weights on [-height, height] from width-2 panels,
+    mirror-symmetric about 0 (a vertical line s = c + i t)."""
+    t, w = gl_panels(rule, np.append(np.arange(0.0, height - 1e-12, 2.0), height))
+    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
 def _trapezoid_line_nodes(c: float, height: float, per_unit: int):
@@ -385,7 +403,7 @@ def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, po
         pole_order = int(math.ceil(-math.log(contour.tol * 1e-2) / (2.0 * math.log(rho)))) + 2
         osc_order = int(3.0 * lx_max) + 8
         order = max(contour.nodes, pole_order, osc_order)
-        t, w = _gl_line_nodes(c, height, order)
+        t, w = gl_line(height, np.polynomial.legendre.leggauss(order))
     s = c + 1j * t
     lg = _mb_log_integrand(spec, s)
     log_x = np.log(x)

@@ -1,0 +1,37 @@
+"""The benchmark's hooks into wpl still resolve.
+
+wplbench/spans.py wraps functions by (owner, attribute) and
+wplbench/workloads.py empties lru caches between passes; a rename in wpl
+would otherwise only show on the next traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "wplbench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import spans
+        import workloads
+
+        yield spans, workloads
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_attributes_resolve(bench_modules):
+    spans, _ = bench_modules
+    for name, owner, attr, _counter in spans.TRACED:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_lru_caches_can_be_cleared(bench_modules):
+    _, workloads = bench_modules
+    for fn in workloads.LRU_CACHES:
+        assert callable(getattr(fn, "cache_clear", None)), f"{fn.__name__} is not lru-cached"

@@ -71,6 +71,23 @@ def test_json_format(tmp_path):
     assert [row[1] for row in doc["rows"]] == ["1", "3", "12", "55"]
 
 
+@pytest.mark.parametrize("args", [
+    ["kernel", "--N", "3", "--r", "1", "--s", "1", "--x", "0.5", "--y", "1.5"],
+    ["sample", "--N", "4", "--samples", "2", "--seed", "3"],
+    ["charpoly", "--N", "3", "--lam", "0.5,2"],
+])
+def test_json_matches_csv(args):
+    # the metadata carries EnsembleParams, which json cannot serialize natively
+    res_json = run_cli(args + ["--format", "json"])
+    res_csv = run_cli(args + ["--format", "csv"])
+    assert res_json.returncode == 0 and res_csv.returncode == 0
+    doc = json.loads(res_json.stdout)
+    lines = [ln for ln in res_csv.stdout.splitlines() if not ln.startswith("# ")]
+    assert doc["columns"] == lines[0].split(",")
+    assert [",".join(row) for row in doc["rows"]] == lines[1:]
+    assert len(doc["rows"]) > 0
+
+
 def test_kernel_methods_agree(tmp_path):
     path = tmp_path / "k.csv"
     res = run_cli([

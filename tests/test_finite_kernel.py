@@ -1,14 +1,17 @@
 """Finite-N biorthogonal machinery tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 from numpy.polynomial import laguerre
 
+from wpl import _hiprec
 from wpl import finite_kernel as fk
 from wpl import sampler as sp
+from wpl.acceptance import _BIORTH_SETS
 from wpl.errors import CoincidentPoints, DomainError
 from wpl.freeprob import EnsembleParams
 from wpl.sampler import RngStream
@@ -98,6 +101,48 @@ def test_q_l_moment_conditions():
         for k in range(l + 1):
             val = float((nodes**k * w) @ q_mat[l])
             assert val == pytest.approx(1.0 if k == l else 0.0, abs=1e-8)
+
+
+def mellin_moments(params):
+    """Exact ∫_0^∞ x^k Q_l dx, k, l < N: the Mellin integrand at u = -(k+1),
+    Γ(k+1) Π Γ(ν_j+k+1) Π Γ(μ_p+N-k) / (Γ(k+1-l) |C_l|); 0 for k < l, 1 for k = l."""
+    N = params.N
+    out = np.zeros((N, N), dtype=object)
+    for k in range(N):
+        for l in range(k + 1):
+            num = math.factorial(k)
+            den = math.factorial(k - l) * math.factorial(l)
+            for v in params.nu:
+                num *= math.factorial(v + k)
+                den *= math.factorial(v + l)
+            for m in params.mu:
+                num *= math.factorial(m + N - k - 1)
+                den *= math.factorial(m + N - l - 1)
+            out[k, l] = Fraction(num, den)
+    return out
+
+
+def moment_error(nodes, weights, q_mat, exact):
+    N = len(q_mat)
+    num = np.array([[(nodes**k * weights) @ q_mat[l] for l in range(N)] for k in range(N)])
+    ref = np.array([[_hiprec._frac_to_ld(v) for v in row] for row in exact])
+    return float(np.max(np.abs(num - ref) / np.maximum(np.abs(ref), 1.0)))
+
+
+@pytest.mark.parametrize("params", _BIORTH_SETS, ids=lambda p: f"r{p.r}s{p.s}")
+def test_q_mellin_moments_float64(params):
+    nodes, w, _, q_mat = fk._biorth_quadrature(params)
+    assert moment_error(nodes, w, q_mat, mellin_moments(params)) < 1e-8
+
+
+def test_q_mellin_moments_longdouble():
+    # (2,2): the algebraic tail is the double-precision engine's weak spot
+    params = _BIORTH_SETS[2]
+    lo, hi = fk._origin_cut(params), fk._support_cut(params, fk.biorth_system(params))
+    nodes, w = fk.geometric_gl_grid(lo, hi, _hiprec.leggauss_ld(20))
+    q_mat = fk.BiorthSystem(params).q_matrix(nodes)
+    assert q_mat.dtype == np.longdouble
+    assert moment_error(nodes, w, q_mat, mellin_moments(params)) < 1e-11
 
 
 def residue_cluster_oracle(params, l, x, k_max=40, m_nodes=64, radius=0.3):
