@@ -3,8 +3,7 @@
 Config files are flat key-value text with square-bracket sections, e.g.
 
     [mc]
-    samples = 1000
-    seed = 7
+    workers = 2
 
     [quad]
     tol = 1e-12
@@ -26,60 +25,29 @@ QUAD_TOL_DEFAULT = 1e-12
 @dataclass(frozen=True)
 class QuadConfig:
     tol: float = QUAD_TOL_DEFAULT
-    contour_half_height: float = 30.0
-    nodes: int = 16  # Gauss-Legendre points per unit-2 panel
 
 
 @dataclass(frozen=True)
 class McConfig:
-    samples: int = 1000
-    seed: int = 1
     workers: int = 1
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    min: float = 0.1
-    max: float = 4.0
-    count: int = 50
-    log_spacing: bool = False
 
 
 @dataclass(frozen=True)
 class RunConfig:
     mc: McConfig = field(default_factory=McConfig)
     quad: QuadConfig = field(default_factory=QuadConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
 
     def validate(self) -> "RunConfig":
         if self.quad.tol <= 0:
             raise ConfigError("quad.tol must be positive")
-        if self.quad.contour_half_height <= 0:
-            raise ConfigError("quad.contour_half_height must be positive")
-        if self.quad.nodes < 2:
-            raise ConfigError("quad.nodes must be >= 2")
-        if self.mc.samples < 1:
-            raise ConfigError("mc.samples must be >= 1")
         if self.mc.workers < 1:
             raise ConfigError("mc.workers must be >= 1")
-        if self.grid.count < 2:
-            raise ConfigError("grid.count must be >= 2")
-        if not (self.grid.max > self.grid.min):
-            raise ConfigError("grid.max must exceed grid.min")
         return self
 
 
 _COERCERS = {
-    ("mc", "samples"): int,
-    ("mc", "seed"): int,
     ("mc", "workers"): int,
     ("quad", "tol"): float,
-    ("quad", "contour_half_height"): float,
-    ("quad", "nodes"): int,
-    ("grid", "min"): float,
-    ("grid", "max"): float,
-    ("grid", "count"): int,
-    ("grid", "log_spacing"): lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
 
 
@@ -123,8 +91,6 @@ def load_config(path: str | None) -> RunConfig:
         cfg = replace(cfg, mc=replace(cfg.mc, **by_section["mc"]))
     if "quad" in by_section:
         cfg = replace(cfg, quad=replace(cfg.quad, **by_section["quad"]))
-    if "grid" in by_section:
-        cfg = replace(cfg, grid=replace(cfg.grid, **by_section["grid"]))
     return cfg.validate()
 
 

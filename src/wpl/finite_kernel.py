@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _hiprec
 from .config import QUAD_TOL_DEFAULT
-from .errors import ContourCollision, DomainError, InternalImaginaryResidue
+from .errors import ContourCollision, DomainError, InternalImaginaryResidue, NonConvergent
 from .freeprob import EnsembleParams
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, gl_line, gl_panels, ln_gamma, meijer_g, pfq, pi_in
+from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, gl_panels, ln_gamma, meijer_g, pfq
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
 
@@ -96,12 +96,6 @@ def _working_precision(dtype):
     return ln_gamma, np.polynomial.legendre.leggauss
 
 
-def _log_max(dtype) -> float:
-    """Largest line exponent for which coeff = e^{log_f} w leaves e^110 of
-    headroom below the dtype's overflow for the x^u factors and the node sum."""
-    return float(np.log(np.finfo(dtype).max)) - 110.0
-
-
 class BiorthSystem:
     """Precomputed contour data for the Q_l family and kernel sums.
 
@@ -127,7 +121,7 @@ class BiorthSystem:
         N = params.N
         self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(N)])
         self.C = np.array([(-1.0) ** l * math.exp(v) for l, v in enumerate(self.log_abs_C)])
-        self._lines: dict[tuple, dict] = {}
+        self._lines: dict[tuple, MellinLine] = {}
         self._line("mid", np.float64)
 
     def _tol(self, dtype) -> float:
@@ -152,7 +146,7 @@ class BiorthSystem:
         rate = (p.r + 1) * math.log(1.0 + abs(c)) + abs(regime)
         return c, max(12.0, 1.3 * abs(c) + 30.0), max(32, int(1.5 * rate) + 24)
 
-    def _line(self, regime, dtype) -> dict:
+    def _line(self, regime, dtype) -> MellinLine:
         """The line of a regime in a working precision, built on first use."""
         if (regime, dtype) in self._lines:
             return self._lines[(regime, dtype)]
@@ -174,37 +168,8 @@ class BiorthSystem:
         # |C_l| is the gamma product at u = -(l+1)
         log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(log_gammas(-(ls + 1).astype(dtype)))
         log_f = log_gammas(u)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
-        two_pi = 2 * pi_in(dtype)
-        # ln Σ_i |coeff[l, i]|: with |x^u| = x^c it bounds the unsigned mass
-        mass = np.real(log_f) + np.log(w)
-        top = np.max(mass, axis=1)
-        log_mass = top + np.log(np.sum(np.exp(mass - top[:, None]), axis=1)) - np.log(two_pi)
-        coeff = None
-        if float(np.max(log_f.real)) < _log_max(dtype):
-            with np.errstate(under="ignore"):
-                coeff = np.exp(log_f) * w[None, :] / two_pi
-        line = {"c": c, "u": u, "w": w, "log_f": log_f, "coeff": coeff, "log_mass": log_mass, "two_pi": two_pi}
-        self._lines[(regime, dtype)] = line
+        line = self._lines[(regime, dtype)] = MellinLine(u, w, log_f)
         return line
-
-    def _eval_line(self, line, x: np.ndarray) -> np.ndarray:
-        log_x = np.log(x)
-        with np.errstate(under="ignore", over="ignore"):
-            if line["coeff"] is not None:
-                vals = line["coeff"] @ np.exp(np.outer(line["u"], log_x))
-            else:
-                # fold x^u into the exponent so saddle-shifted lines stay in range
-                ex = np.exp(line["log_f"][:, :, None] + line["u"][None, :, None] * log_x[None, None, :])
-                vals = np.einsum("i,lij->lj", line["w"], ex) / line["two_pi"]
-            mag = np.exp(np.max(line["log_mass"]) + np.max(line["c"] * log_x))
-        scale = max(float(np.max(np.abs(vals.real), initial=0.0)), 1e-280)
-        # conjugate pairs cancel Im exactly; the rounding residue scales with
-        # the unsigned integrand mass, larger residues indicate a contour bug
-        allowed = max(1e3 * self._tol(x.dtype) * max(1.0, scale), 1e-12 * float(mag))
-        imax = float(np.max(np.abs(vals.imag), initial=0.0))
-        if imax > allowed:
-            raise InternalImaginaryResidue(f"Q contour imaginary residue {imax}")
-        return vals.real
 
     def _eval_saddle_group(self, x: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
         """s = 0 deep tail: lines through the saddle at -x^{1/r}, bucketed in ln x.
@@ -220,7 +185,8 @@ class BiorthSystem:
         keys = np.round(4.0 * np.log(x[live])) / 4.0
         for key in np.unique(keys):
             sel = keys == key
-            out[:, cols[live][sel]] = self._eval_line(self._line(float(key), x.dtype.type), x[live][sel])
+            xs = x[live][sel]
+            out[:, cols[live][sel]] = self._line(float(key), x.dtype.type).eval(xs, self._tol(x.dtype))
 
     def q_matrix(self, x: np.ndarray) -> np.ndarray:
         """All Q_l (rows l = 0..N-1) on an array of positive points.
@@ -238,10 +204,10 @@ class BiorthSystem:
         high = x > x_hi
         for regime, sel in (("small", small), ("mid", mid)):
             if np.any(sel):
-                out[:, sel] = self._eval_line(self._line(regime, x.dtype.type), x[sel])
+                out[:, sel] = self._line(regime, x.dtype.type).eval(x[sel], self._tol(x.dtype))
         if np.any(high):
             if self.params.s >= 1:
-                out[:, high] = self._eval_line(self._line("deep", x.dtype.type), x[high])
+                out[:, high] = self._line("deep", x.dtype.type).eval(x[high], self._tol(x.dtype))
             else:
                 self._eval_saddle_group(x[high], out, np.nonzero(high)[0])
         return out
@@ -314,6 +280,19 @@ def kernel_n_contour(
     tnodes, wu = gl_line(height, np.polynomial.legendre.leggauss(48))
     u = -0.5 + 1j * tnodes
 
+    nus = (0.0,) + tuple(float(v) for v in params.nu)
+    log_fu = -(u + 1.0) * math.log(y) - ln_gamma(u - N + 1.0)
+    for nu_j in nus:
+        log_fu = log_fu + ln_gamma(nu_j + u + 1.0)
+    for mu in params.mu:
+        log_fu = log_fu + ln_gamma(mu + N - u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu = np.exp(log_fu) * wu
+    # checked before the line x circle matrices are formed: at N ~ 100 they
+    # take gigabytes, and an overflowed line factor makes the value NaN
+    if not np.all(np.isfinite(fu)):
+        raise NonConvergent(f"double-contour line factor overflows at N={N}")
+
     center = 0.5 * (N - 1)
     radius = 0.5 * N - 0.25
     for attempt in range(2):
@@ -327,19 +306,16 @@ def kernel_n_contour(
     else:
         raise ContourCollision("u and t quadrature nodes too close after retry")
 
-    log_fu = -(u + 1.0) * math.log(y) - ln_gamma(u - N + 1.0)
     log_ft = tcirc * math.log(x) + ln_gamma(tcirc - N + 1.0)
-    for j in range(r + 1):
-        nu_j = 0.0 if j == 0 else float(params.nu[j - 1])
-        log_fu = log_fu + ln_gamma(nu_j + u + 1.0)
+    for nu_j in nus:
         log_ft = log_ft - ln_gamma(nu_j + tcirc + 1.0)
     for mu in params.mu:
-        log_fu = log_fu + ln_gamma(mu + N - u)
         log_ft = log_ft - ln_gamma(mu + N - tcirc)
 
-    fu = np.exp(log_fu) * wu
     ft = np.exp(log_ft) * np.exp(1j * theta) * (radius / m_nodes)
     val = (fu @ (1.0 / (u[:, None] - tcirc[None, :])) @ ft) / (2.0 * math.pi)
+    if not np.isfinite(val):
+        raise NonConvergent(f"double-contour value {val} is not finite")
     if abs(val.imag) > 1e3 * tol * max(1.0, abs(val.real)):
         raise InternalImaginaryResidue(f"double-contour imaginary residue {val.imag}")
     return KernelEval(x=x, y=y, value=float(val.real), method="double_contour")

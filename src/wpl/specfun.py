@@ -273,28 +273,22 @@ class MeijerSpec:
 class ContourSpec:
     """Vertical Mellin-Barnes contour Re s = abscissa, |Im s| <= half_height.
 
-    nodes is the Gauss-Legendre order per width-2 panel (or points per unit
-    length for the trapezoid rule).  tol is the target absolute error.
+    tol is the target absolute error; the quadrature order and the final
+    height follow from it.
     """
 
     abscissa: float
     half_height: float
-    nodes: int = 16
-    rule: str = "gauss_legendre_panels"
     tol: float = QUAD_TOL_DEFAULT
 
     def __post_init__(self):
         if self.half_height <= 0:
             raise ContourViolation("half_height must be positive")
-        if self.nodes < 2:
-            raise ContourViolation("nodes must be >= 2")
-        if self.rule not in ("gauss_legendre_panels", "trapezoid"):
-            raise ContourViolation(f"unknown quadrature rule {self.rule!r}")
         if self.tol <= 0:
             raise ContourViolation("tol must be positive")
 
     @classmethod
-    def auto(cls, spec: MeijerSpec, tol: float = QUAD_TOL_DEFAULT, nodes: int = 16) -> "ContourSpec":
+    def auto(cls, spec: MeijerSpec, tol: float = QUAD_TOL_DEFAULT) -> "ContourSpec":
         """Midpoint-of-gap abscissa and a decay-based initial half-height."""
         lo, hi = spec.left_pole_max, spec.right_pole_min
         if lo >= hi:
@@ -312,7 +306,7 @@ class ContourSpec:
             height = max(10.0, (math.log(1.0 / tol) + 8.0) / kappa)
         else:
             height = 30.0
-        return cls(abscissa=c, half_height=height, nodes=nodes, tol=tol)
+        return cls(abscissa=c, half_height=height, tol=tol)
 
 
 def _validate_contour(spec: MeijerSpec, contour: ContourSpec) -> None:
@@ -357,13 +351,72 @@ def gl_line(height, rule):
     return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
-def _trapezoid_line_nodes(c: float, height: float, per_unit: int):
-    n = max(8, int(2 * height * per_unit)) + 1
-    t = np.linspace(-height, height, n)
-    w = np.full(n, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return t, w
+# Points per block of a line sum, so its nodes x points temporaries do not
+# grow with the number of points (8 MiB for a 4096-node clongdouble line).
+_CHUNK = 64
+
+
+def _log_max(dtype) -> float:
+    """Largest line exponent for which coeff = e^{log_f} w leaves e^110 of
+    headroom below the dtype's overflow for the x^u factors and the node sum."""
+    return float(np.log(np.finfo(dtype).max)) - 110.0
+
+
+class MellinLine:
+    """Mellin-Barnes line sums (1/2π) Σ_i w_i F_l(u_i) x^{u_i}, one per row l.
+
+    u are the nodes of a vertical line Re u = c, mirror-symmetric about the
+    real axis, w their weights and log_f the log F_l(u_i), one row per sum
+    (a 1-d log_f is one row).  The sums are evaluated in the precision of
+    log_f: complex128 or clongdouble.
+    """
+
+    def __init__(self, u: np.ndarray, w: np.ndarray, log_f: np.ndarray):
+        self.u = u
+        self.w = w
+        self.log_f = np.atleast_2d(log_f)
+        re_f = np.real(self.log_f)
+        self.two_pi = 2 * pi_in(re_f.dtype)
+        self.c = np.real(u[0])
+        # ln Σ_i |coeff[l, i]|: with |x^u| = x^c it bounds the unsigned mass
+        mass = re_f + np.log(np.abs(w))
+        top = np.max(mass, axis=1)
+        self.log_mass = top + np.log(np.sum(np.exp(mass - top[:, None]), axis=1)) - np.log(self.two_pi)
+        self.coeff = None
+        if float(np.max(re_f)) < _log_max(re_f.dtype):
+            with np.errstate(under="ignore"):
+                self.coeff = np.exp(self.log_f) * w / self.two_pi
+
+    def eval(self, x: np.ndarray, tol: float) -> np.ndarray:
+        """The real parts of the sums at positive points x, rows x len(x).
+
+        Conjugate node pairs cancel Im exactly; the rounding residue scales
+        with the unsigned mass Σ|w F x^u|, so an Im part above
+        max(1e3 tol, 1e-12 mass) flags a contour bug and raises
+        InternalImaginaryResidue.  A sum that is not finite raises
+        NonConvergent.
+        """
+        log_x = np.log(x)
+        out = np.empty((len(self.log_f), len(log_x)), dtype=np.real(self.log_f).dtype)
+        imax = 0.0
+        for lo in range(0, len(log_x), _CHUNK):
+            ulx = np.outer(self.u, log_x[lo : lo + _CHUNK])
+            with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+                if self.coeff is not None:
+                    vals = self.coeff @ np.exp(ulx)
+                else:
+                    # fold x^u into the exponent so saddle-shifted lines stay in range
+                    vals = np.array([self.w @ np.exp(lf[:, None] + ulx) for lf in self.log_f]) / self.two_pi
+            if not np.all(np.isfinite(vals)):
+                raise NonConvergent("Mellin-Barnes line sum is not finite")
+            out[:, lo : lo + _CHUNK] = vals.real
+            imax = max(imax, float(np.max(np.abs(vals.imag), initial=0.0)))
+        with np.errstate(over="ignore"):
+            mass = np.exp(np.max(self.log_mass) + np.max(self.c * log_x))
+        allowed = max(1e3 * tol, 1e-12 * float(mass))
+        if imax > allowed:
+            raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard {allowed}")
+        return out
 
 
 def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, power: int) -> np.ndarray:
@@ -391,34 +444,21 @@ def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, po
     if tail_log_mag(height) > target:
         raise NonConvergent("integrand tail exceeds tol at truncation height")
 
-    if contour.rule == "trapezoid":
-        t, w = _trapezoid_line_nodes(c, height, contour.nodes)
-    else:
-        # Per-panel order: resolve the nearest pole (Bernstein-ellipse rate
-        # for a width-2 panel) and the x^{it} oscillation along the line.
-        d_right = spec.right_pole_min - c
-        d_left = c - spec.left_pole_max
-        d_min = min(d_right, d_left)
-        rho = d_min + math.sqrt(d_min * d_min + 1.0)
-        pole_order = int(math.ceil(-math.log(contour.tol * 1e-2) / (2.0 * math.log(rho)))) + 2
-        osc_order = int(3.0 * lx_max) + 8
-        order = max(contour.nodes, pole_order, osc_order)
-        t, w = gl_line(height, np.polynomial.legendre.leggauss(order))
+    # Per-panel order: resolve the nearest pole (Bernstein-ellipse rate
+    # for a width-2 panel) and the x^{it} oscillation along the line.
+    d_right = spec.right_pole_min - c
+    d_left = c - spec.left_pole_max
+    d_min = min(d_right, d_left)
+    rho = d_min + math.sqrt(d_min * d_min + 1.0)
+    pole_order = int(math.ceil(-math.log(contour.tol * 1e-2) / (2.0 * math.log(rho)))) + 2
+    osc_order = int(3.0 * lx_max) + 8
+    order = max(16, pole_order, osc_order)
+    t, w = gl_line(height, np.polynomial.legendre.leggauss(order))
     s = c + 1j * t
-    lg = _mb_log_integrand(spec, s)
-    log_x = np.log(x)
-    mat = np.exp(lg[:, None] + np.outer(s, log_x))
+    log_f = _mb_log_integrand(spec, s)
     if power:
-        mat = mat * (s**power)[:, None]
-    vals = (w @ mat) / (2.0 * math.pi)
-    # conjugate-pair cancellation leaves an Im residue at the rounding level
-    # of the unsigned integrand mass; anything larger flags a contour bug
-    mass = (np.abs(w) @ np.abs(mat)) / (2.0 * math.pi)
-    allowed = max(1e3 * contour.tol, 1e-12 * float(np.max(mass)))
-    imax = float(np.max(np.abs(vals.imag)))
-    if imax > allowed:
-        raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard")
-    return vals.real
+        log_f = log_f + power * np.log(s)
+    return MellinLine(s, w, log_f).eval(x, contour.tol)[0]
 
 
 def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int, tol: float) -> np.ndarray:

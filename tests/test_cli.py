@@ -106,6 +106,13 @@ def test_config_error_exit_code():
     assert res.returncode == cli.EXIT_CONFIG_ERROR
 
 
+def test_numerical_failure_exit_code():
+    res = run_cli(["kernel", "--N", "120", "--r", "1", "--s", "1", "--nu", "0", "--mu", "0",
+                   "--x", "1", "--y", "1", "--method", "contour"])
+    assert res.returncode == cli.EXIT_NUMERICAL_FAILURE
+    assert "nan" not in res.stdout
+
+
 def test_acceptance_list_and_single_check():
     res = run_cli(["acceptance", "--list"])
     assert res.returncode == 0
@@ -125,20 +132,22 @@ def test_acceptance_perturbed_tolerance_fails():
 def test_config_file_parsing(tmp_path):
     text = """
 [mc]
-samples = 500
-seed = 9
+workers = 2
 [quad]
 tol = 1e-10
 """
     pairs = parse_config_text(text)
-    assert pairs[("mc", "samples")] == 500
+    assert pairs[("mc", "workers")] == 2
     assert pairs[("quad", "tol")] == 1e-10
     with pytest.raises(ConfigError):
         parse_config_text("[mc]\nbogus = 1\n")
+    # keys nothing reads are rejected rather than silently ignored
+    with pytest.raises(ConfigError):
+        parse_config_text("[mc]\nseed = 7\n")
     path = tmp_path / "cfg"
     path.write_text(text)
     cfg = load_config(str(path))
-    assert cfg.mc.samples == 500 and cfg.mc.seed == 9
+    assert cfg.mc.workers == 2 and cfg.quad.tol == 1e-10
 
 
 def test_workers_env_cap(monkeypatch):

@@ -12,7 +12,7 @@ from wpl import _hiprec
 from wpl import finite_kernel as fk
 from wpl import sampler as sp
 from wpl.acceptance import _BIORTH_SETS
-from wpl.errors import CoincidentPoints, DomainError
+from wpl.errors import CoincidentPoints, DomainError, NonConvergent
 from wpl.freeprob import EnsembleParams
 from wpl.sampler import RngStream
 
@@ -199,6 +199,13 @@ def test_kernel_biorth_vs_contour():
     a = fk.kernel_n(p2, 1.0, 1.0)
     b = fk.kernel_n_contour(p2, 1.0, 1.0)
     assert b.value == pytest.approx(a.value, rel=1e-8)
+
+
+def test_kernel_contour_overflow_raises():
+    # at N = 120 the outer line's gamma factors overflow double precision;
+    # the value used to come back as NaN
+    with pytest.raises(NonConvergent):
+        fk.kernel_n_contour(EnsembleParams(N=120, r=1, s=1, nu=(0,), mu=(0,)), 1.0, 1.0)
 
 
 def test_kernel_asymmetry_and_det_symmetry():

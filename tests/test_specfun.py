@@ -187,10 +187,10 @@ def test_meijer_reduction_identity_vs_pfq():
 
 
 def test_meijer_contour_independence():
-    # two valid contours with different abscissa/height/order agree
+    # two valid contours with different abscissa/height agree
     spec = sf.MeijerSpec(2, 0, 0, 3, (), (0.0, 0.0, 0.0))
-    c1 = sf.ContourSpec(abscissa=-0.5, half_height=25.0, nodes=24)
-    c2 = sf.ContourSpec(abscissa=-1.25, half_height=40.0, nodes=40)
+    c1 = sf.ContourSpec(abscissa=-0.5, half_height=25.0)
+    c2 = sf.ContourSpec(abscissa=-1.25, half_height=40.0)
     for x in (0.5, 2.0, 10.0):
         a = sf.meijer_g(spec, c1, x)
         b = sf.meijer_g(spec, c2, x)
@@ -198,17 +198,59 @@ def test_meijer_contour_independence():
     # a Q-type spec used downstream: G^{2,1}_{2,2}
     spec_q = sf.MeijerSpec(2, 1, 2, 2, (-5.0, -2.0), (0.0, 1.0))
     c1 = sf.ContourSpec.auto(spec_q)
-    c2 = sf.ContourSpec(abscissa=-0.8, half_height=30.0, nodes=32)
+    c2 = sf.ContourSpec(abscissa=-0.8, half_height=30.0)
     for x in (0.5, 3.0):
         assert sf.meijer_g(spec_q, c1, x) == pytest.approx(sf.meijer_g(spec_q, c2, x), rel=1e-10)
 
 
 def test_meijer_trapezoid_rule_agrees():
+    # the trapezoid rule on a uniform grid of Re s = -1/2, |Im s| <= 28,
+    # 40 points per unit, against meijer_g's Gauss-Legendre panels
     spec = sf.MeijerSpec(2, 0, 0, 3, (), (0.0, 1.0, 0.0))
     gl = sf.ContourSpec.auto(spec)
-    tz = sf.ContourSpec(abscissa=-0.5, half_height=28.0, nodes=40, rule="trapezoid")
+    t = np.linspace(-28.0, 28.0, 2241)
+    w = np.full(t.shape, t[1] - t[0])
+    w[[0, -1]] *= 0.5
+    s = -0.5 + 1j * t
     for x in (0.7, 3.0):
-        assert sf.meijer_g(spec, tz, x) == pytest.approx(sf.meijer_g(spec, gl, x), rel=1e-9)
+        tz = (w @ np.exp(sf._mb_log_integrand(spec, s) + s * math.log(x))).real / (2.0 * math.pi)
+        assert tz == pytest.approx(sf.meijer_g(spec, gl, x), rel=1e-9)
+
+
+def _exp_line():
+    """G^{1,0}_{0,1}(x | 0) = e^{-x} as a MellinLine on Re s = -1/2."""
+    spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
+    t, w = sf.gl_line(30.0, np.polynomial.legendre.leggauss(32))
+    s = -0.5 + 1j * t
+    return s, w, sf._mb_log_integrand(spec, s)
+
+
+def test_mellin_line_guard():
+    s, w, log_f = _exp_line()
+    x = np.array([0.5, 1.0, 2.0])
+    assert sf.MellinLine(s, w, log_f).eval(x, 1e-12)[0] == pytest.approx(np.exp(-x), rel=1e-11)
+    # a phase that breaks the conjugate symmetry of the nodes leaves an Im part
+    with pytest.raises(InternalImaginaryResidue):
+        sf.MellinLine(s, w, log_f + 1e-3j).eval(x, 1e-12)
+    # an overflowing integrand gives no number rather than inf or NaN
+    with pytest.raises(NonConvergent):
+        sf.MellinLine(s, w, log_f + 800.0).eval(x, 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_mellin_line_chunks_match_one_block(monkeypatch, dtype):
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    line = fk.BiorthSystem(EnsembleParams(N=3, r=1, s=1, nu=(0,), mu=(0,)))._line("mid", dtype)
+    x = np.geomspace(1e-5, 8.0, 3 * sf._CHUNK + 5).astype(dtype)
+    chunked = line.eval(x, 1e-12)
+    monkeypatch.setattr(sf, "_CHUNK", len(x))
+    whole = line.eval(x, 1e-12)
+    assert chunked.dtype == whole.dtype == dtype
+    # the sums only differ where BLAS rounds a block of columns differently
+    scale = np.exp(np.max(line.log_mass) + np.max(line.c * np.log(x)))
+    assert np.max(np.abs(chunked - whole)) <= 64 * np.finfo(dtype).eps * scale
 
 
 def test_meijer_vs_mpmath_oracle():
