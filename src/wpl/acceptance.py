@@ -53,33 +53,32 @@ def _marchenko_pastur(y: np.ndarray) -> np.ndarray:
 def check_mp_recovery(tol_scale: float = 1.0) -> CheckResult:
     t0 = time.time()
     xs = np.linspace(0.1, 3.9, 50)
-    err = max(
-        abs(fp.global_density(1, 0, float(x)) - float(_marchenko_pastur(np.array([x]))[0]))
-        for x in xs
-    )
-    return CheckResult("01_marchenko_pastur", err, 0.0, 1e-8, err <= 1e-8, time.time() - t0)
+    exact = _marchenko_pastur(xs)
+    solver = np.array([fp.stieltjes_density(1, 0, float(x)) for x in xs])
+    detail = {
+        "global_density": float(np.max(np.abs(fp.global_density(1, 0, xs) - exact))),
+        "stieltjes_density": float(np.max(np.abs(solver - exact))),
+    }
+    err = max(detail.values())
+    return CheckResult("01_marchenko_pastur", err, 0.0, 1e-8, err <= 1e-8, time.time() - t0, detail)
 
 
 def check_closed_forms(tol_scale: float = 1.0) -> CheckResult:
+    """Solver route against the phi-parametric density, two computations."""
     t0 = time.time()
-    worst = 0.0
-    detail = {}
+    grids = {}
     for r in (2, 3):
-        phis = np.linspace(0.12, math.pi / (r + 1) - 0.12, 12)
-        err = max(
-            abs(fp.global_density(r, 0, pt.x) - pt.rho)
-            for pt in (fp.density_s0_parametric(r, float(phi)) for phi in phis)
-        )
-        detail[f"parametric_r{r}"] = err
-        worst = max(worst, err)
-    for r in (1, 2):
-        xs = np.geomspace(0.05, 20.0, 12)
-        err = max(
-            abs(fp.global_density(r, r, float(x)) - fp.density_rr_closed(r, float(x)))
-            for x in xs
-        )
-        detail[f"rr_closed_r{r}"] = err
-        worst = max(worst, err)
+        # the s = 0 points x(phi) of the trigonometric parametrisation
+        phi = np.linspace(0.12, math.pi / (r + 1) - 0.12, 12)
+        xs = np.sin((r + 1) * phi) ** (r + 1) / (np.sin(phi) * np.sin(r * phi) ** r)
+        grids[f"parametric_r{r}"] = (r, 0, xs)
+    for r, s in ((1, 1), (2, 2), (2, 1), (1, 2)):
+        grids[f"rs{r}{s}"] = (r, s, np.geomspace(0.05, 20.0, 12))
+    detail = {}
+    for name, (r, s, xs) in grids.items():
+        solver = np.array([fp.stieltjes_density(r, s, float(x)) for x in xs])
+        detail[name] = float(np.max(np.abs(solver - fp.global_density(r, s, xs))))
+    worst = max(detail.values())
     return CheckResult("02_closed_form_crosschecks", worst, 0.0, 1e-8, worst <= 1e-8, time.time() - t0, detail)
 
 

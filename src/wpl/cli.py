@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -122,36 +121,14 @@ def cmd_sample(args, cfg) -> int:
 def cmd_density(args, cfg) -> int:
     lo, hi, n = _parse_grid(args.grid)
     xs = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
+    closed = fp.global_density(args.r, args.s, xs)
     rows = []
-    worst = 0.0
-    for x in xs:
-        solver = fp.global_density(args.r, args.s, float(x))
-        closed = math.nan
-        if args.r == args.s:
-            closed = fp.density_rr_closed(args.r, float(x))
-        elif args.s == 0:
-            closed = _density_s0_by_inversion(args.r, float(x))
-        diff = abs(solver - closed) if not math.isnan(closed) else math.nan
-        if not math.isnan(diff):
-            worst = max(worst, diff)
-        rows.append((float(x), closed, solver, diff))
-    meta = {"r": args.r, "s": args.s, "max_discrepancy": worst}
+    for x, c in zip(xs, closed):
+        solver = fp.stieltjes_density(args.r, args.s, float(x))
+        rows.append((float(x), float(c), solver, abs(solver - float(c))))
+    meta = {"r": args.r, "s": args.s, "max_discrepancy": max(row[3] for row in rows)}
     write_table(args.out, ["x", "rho_closed", "rho_solver", "abs_diff"], rows, meta, args.format)
     return EXIT_OK
-
-
-def _density_s0_by_inversion(r: int, x: float) -> float:
-    """Invert the parametric map x(phi) (decreasing) to evaluate the density."""
-    lo, hi = 1e-9, math.pi / (r + 1) - 1e-9
-    if not (fp.density_s0_parametric(r, hi).x <= x <= fp.density_s0_parametric(r, lo).x):
-        return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fp.density_s0_parametric(r, mid).x > x:
-            lo = mid
-        else:
-            hi = mid
-    return fp.density_s0_parametric(r, 0.5 * (lo + hi)).rho
 
 
 def cmd_moments(args, cfg) -> int:
@@ -332,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaling", choices=[v.value for v in sp.Scaling], default="raw")
     p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("density", help="global density: closed form vs solver")
+    p = sub.add_parser("density", help="global density: phi-parametric map vs Stieltjes solver")
     common(p, ensemble=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)

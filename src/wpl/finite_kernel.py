@@ -26,6 +26,9 @@ from .freeprob import EnsembleParams
 from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, gl_panels, ln_gamma, meijer_g, pfq
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
+# circle nodes per block of kernel_n_contour's line x circle matrices, so their
+# memory grows like the line alone; 512-node blocks ran 2-3x slower
+_CIRCLE_BLOCK = 64
 
 
 class KernelEval(NamedTuple):
@@ -299,7 +302,8 @@ def kernel_n_contour(
         m_nodes = max(256, 80 * N)
         theta = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
         tcirc = center + radius * np.exp(1j * theta)
-        dmin = np.min(np.abs(u[:, None] - tcirc[None, :]))
+        blocks = [slice(k, k + _CIRCLE_BLOCK) for k in range(0, m_nodes, _CIRCLE_BLOCK)]
+        dmin = min(np.min(np.abs(u[:, None] - tcirc[None, b])) for b in blocks)
         if dmin >= 1e-3:
             break
         radius -= 0.05
@@ -313,7 +317,7 @@ def kernel_n_contour(
         log_ft = log_ft - ln_gamma(mu + N - tcirc)
 
     ft = np.exp(log_ft) * np.exp(1j * theta) * (radius / m_nodes)
-    val = (fu @ (1.0 / (u[:, None] - tcirc[None, :])) @ ft) / (2.0 * math.pi)
+    val = sum(fu @ (1.0 / (u[:, None] - tcirc[None, b])) @ ft[b] for b in blocks) / (2.0 * math.pi)
     if not np.isfinite(val):
         raise NonConvergent(f"double-contour value {val} is not finite")
     if abs(val.imag) > 1e3 * tol * max(1.0, abs(val.real)):

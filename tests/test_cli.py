@@ -1,6 +1,7 @@
 """CLI harness tests: determinism, formats, exit codes, config handling."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -52,6 +53,26 @@ def test_density_discrepancy_small(tmp_path):
     assert res.returncode == 0
     rows = [ln.split(",") for ln in path.read_text().splitlines()[1:7]]
     assert all(abs(float(row[3])) < 1e-7 for row in rows)
+
+
+def _density_rows(args):
+    res = run_cli(["density", *args])
+    assert res.returncode == 0
+    return [[float(v) for v in ln.split(",")] for ln in res.stdout.splitlines()[1:] if not ln.startswith("#")]
+
+
+def test_density_both_columns_for_every_rs():
+    rows = _density_rows(["--r", "2", "--s", "1", "--grid", "0.5:5:6"])
+    assert len(rows) == 6
+    assert not any(math.isnan(v) for row in rows for v in row)
+    assert all(row[3] < 1e-9 for row in rows)
+
+
+def test_density_r0_zero_below_edge():
+    rows = _density_rows(["--r", "0", "--s", "1", "--grid", "0.1:2:6"])
+    below = [row for row in rows if row[0] < 0.25]
+    assert below and all(row[1] == 0.0 and row[2] == 0.0 for row in below)
+    assert all(row[1] > 0.0 and row[3] < 1e-9 for row in rows if row[0] > 0.25)
 
 
 def test_hardedge_diag_bessel_columns(tmp_path):

@@ -1,6 +1,7 @@
 """Finite-N biorthogonal machinery tests."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,21 @@ def test_kernel_contour_overflow_raises():
     # the value used to come back as NaN
     with pytest.raises(NonConvergent):
         fk.kernel_n_contour(EnsembleParams(N=120, r=1, s=1, nu=(0,), mu=(0,)), 1.0, 1.0)
+
+
+def test_kernel_contour_memory_bounded():
+    # the line x circle matrices are formed in blocks of circle nodes; whole,
+    # they took 338 MiB at N = 40 (3456 x 3200 nodes)
+    p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
+    tracemalloc.start()
+    try:
+        value = fk.kernel_n_contour(p, 10.0, 10.0).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    laguerre_sum = sum(laguerre.Laguerre.basis(l)(10.0) ** 2 for l in range(40)) * math.exp(-10.0)
+    assert value == pytest.approx(laguerre_sum, rel=1e-8)
 
 
 def test_kernel_asymmetry_and_det_symmetry():

@@ -104,49 +104,140 @@ def test_gg_symmetry_under_rs_swap():
 # --- densities ------------------------------------------------------------
 
 
+def rr_density(r: int, x: float) -> float:
+    # explicit r = s density, an oracle independent of the phi-map inversion
+    theta = math.pi / (r + 1)
+    v = x ** (1.0 / (r + 1))
+    return v * math.sin(theta) / (math.pi * x * (1.0 + 2.0 * v * math.cos(theta) + v * v))
+
+
+def mp_phi_density(r: int, s: int, x: float) -> float:
+    # 40-digit bisection of the phi map in t = phi (r+1)/pi, psi = pi (1-t)/(s+1)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        target = mpmath.log(x)
+
+        def angles(t):
+            return mpmath.pi * t / (r + 1), mpmath.pi * (1 - t) / (s + 1)
+
+        def log_x(t):
+            phi, psi = angles(t)
+            return ((r + 1) * mpmath.log(mpmath.sin(psi)) + (s - r) * mpmath.log(mpmath.sin(phi + psi))
+                    - (s + 1) * mpmath.log(mpmath.sin(phi)))
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            if log_x(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        phi, psi = angles((lo + hi) / 2)
+        return float(mpmath.sin(psi) * mpmath.sin(phi) / (mpmath.pi * x * mpmath.sin(phi + psi)))
+
+
 def test_global_density_mp_values():
     assert fp.global_density(1, 0, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-10)
     xs = np.linspace(0.1, 3.9, 25)
     for x in xs:
         assert fp.global_density(1, 0, float(x)) == pytest.approx(mp_density(float(x)), abs=1e-8)
+        assert fp.stieltjes_density(1, 0, float(x)) == pytest.approx(mp_density(float(x)), abs=1e-8)
 
 
 def test_global_density_outside_support_is_zero():
     assert fp.global_density(1, 0, 4.5) == pytest.approx(0.0, abs=1e-8)
+    assert fp.stieltjes_density(1, 0, 4.5) == pytest.approx(0.0, abs=1e-8)
+    # s = 0: support (0, (r+1)^{r+1}/r^r); r = 0: support (s^s/(s+1)^{s+1}, inf)
+    assert np.all(fp.global_density(2, 0, np.array([27.0 / 4.0, 7.0, 1e6])) == 0.0)
+    assert np.all(fp.global_density(0, 1, np.array([1e-6, 0.1, 0.25])) == 0.0)
+    assert np.all(fp.global_density(0, 2, np.array([0.01, 4.0 / 27.0])) == 0.0)
+    assert fp.global_density(2, 0, 27.0 / 4.0 * (1.0 - 1e-9)) > 0.0
+    assert fp.global_density(0, 1, 0.25 * (1.0 + 1e-9)) > 0.0
+
+
+def test_global_density_scalar_array_and_domain():
+    assert isinstance(fp.global_density(2, 1, 1.5), float)
+    xs = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
+    out = fp.global_density(2, 1, xs)
+    assert out.shape == (3, 4)
+    scalars = [fp.global_density(2, 1, float(x)) for x in xs.ravel()]
+    np.testing.assert_allclose(out.ravel(), scalars, rtol=1e-14, atol=0.0)
+    for bad in (0.0, -1.0, np.array([1.0, 0.0]), math.nan):
+        with pytest.raises(DomainError):
+            fp.global_density(1, 1, bad)
+    with pytest.raises(DomainError):
+        fp.global_density(0, 0, 1.0)
+    with pytest.raises(DomainError):
+        fp.stieltjes_density(1, 1, 0.0)
 
 
 def test_density_rr_closed_values():
-    assert fp.density_rr_closed(1, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
-    assert fp.global_density(1, 1, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-9)
+    assert fp.global_density(1, 1, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+    assert fp.stieltjes_density(1, 1, 1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-9)
+    for r in (1, 2, 3):
+        for x in np.geomspace(1e-9, 1e9, 37):
+            assert fp.global_density(r, r, float(x)) == pytest.approx(rr_density(r, float(x)), rel=1e-13)
+
+
+def test_global_density_far_tail_mpmath():
+    # far tail at r > s >= 2, where the solver route raises or is wrong
+    for r, s in ((3, 2), (4, 3), (5, 4), (4, 2), (5, 3)):
+        xs = np.geomspace(1e3, 2e6, 40)
+        rho = np.array([fp.global_density(r, s, float(x)) for x in xs])
+        ref = np.array([mp_phi_density(r, s, x) for x in xs])
+        assert np.max(np.abs(rho / ref - 1.0)) < 1e-12, (r, s)
+
+
+def test_global_density_wide_range_mpmath():
+    for r, s in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        hi = 0.99 * (r + 1) ** (r + 1) / r**r if s == 0 else 1e9
+        xs = np.geomspace(1e-9, hi, 25)
+        rho = fp.global_density(r, s, xs)
+        ref = np.array([mp_phi_density(r, s, x) for x in xs])
+        assert np.max(np.abs(rho / ref - 1.0)) < 1e-12, (r, s)
+
+
+def test_global_density_r0_matches_solver():
+    for s in (1, 2):
+        edge = s**s / (s + 1) ** (s + 1)
+        for x in np.geomspace(1.05 * edge, 1e3, 15):
+            assert abs(fp.global_density(0, s, float(x)) - fp.stieltjes_density(0, s, float(x))) < 1e-9
+        assert fp.stieltjes_density(0, s, 0.5 * edge) == 0.0
 
 
 def test_rr_transformed_is_arcsine():
     # lambda = 1/(1+x) maps the r=s=1 density to 1/(pi sqrt(lam(1-lam)))
     for lam in (0.2, 0.5, 0.8):
         x = 1.0 / lam - 1.0
-        lhs = fp.density_rr_closed(1, x) / lam**2  # rho_x dx = rho_lam dlam
+        lhs = fp.global_density(1, 1, x) / lam**2  # rho_x dx = rho_lam dlam
         rhs = 1.0 / (math.pi * math.sqrt(lam * (1.0 - lam)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_parametric_point_r1():
-    pt = fp.density_s0_parametric(1, math.pi / 4)
-    assert pt.x == pytest.approx(2.0, rel=1e-13)
-    assert pt.rho == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
+    # phi = pi/4 at r = 1, s = 0: x = 2, rho = 1/(2 pi)
+    assert fp.global_density(1, 0, 2.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
+    for x in (0.01, 0.5, 3.0, 3.99):
+        assert fp.global_density(1, 0, x) == pytest.approx(mp_density(x), rel=1e-13)
 
 
 def test_parametric_edge_r2():
-    # phi -> 0+: x -> 27/4 (series limit of the trigonometric ratio), decreasing
-    xs = [fp.density_s0_parametric(2, phi).x for phi in (1e-4, 1e-3, 1e-2)]
-    assert xs[0] == pytest.approx(27.0 / 4.0, rel=1e-6)
-    assert xs[0] > xs[1] > xs[2] or xs[0] < 27.0 / 4.0  # decreasing near the edge
+    # x -> 27/4-: rho -> 0 like sqrt(27/4 - x), so rho / sqrt(27/4 - x) settles
+    gaps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    rho = fp.global_density(2, 0, 27.0 / 4.0 - gaps)
+    assert np.all(np.diff(rho) < 0)
+    ratio = rho / np.sqrt(gaps)
+    assert abs(ratio[-1] / ratio[-2] - 1.0) < 1e-3
     with pytest.raises(DomainError):
-        fp.density_s0_parametric(2, math.pi / 3 + 0.01)
+        fp.global_density(2, 0, -0.1)
 
 
 def test_parametric_vs_solver_r2():
-    pt = fp.density_s0_parametric(2, math.pi / 6)
-    assert fp.global_density(2, 0, pt.x) == pytest.approx(pt.rho, abs=1e-8)
+    # phi = pi/6 at r = 2, s = 0: x = 8/3, rho = sqrt(3)/(8 pi)
+    rho = math.sqrt(3.0) / (8.0 * math.pi)
+    assert fp.global_density(2, 0, 8.0 / 3.0) == pytest.approx(rho, rel=1e-13)
+    assert fp.stieltjes_density(2, 0, 8.0 / 3.0) == pytest.approx(rho, abs=1e-8)
 
 
 def test_density_normalization_quadrature():
@@ -154,7 +245,7 @@ def test_density_normalization_quadrature():
     val, _ = scipy.integrate.quad(lambda x: fp.global_density(2, 0, x), 1e-9, 27.0 / 4.0, limit=200)
     assert val == pytest.approx(1.0, abs=1e-6)
     val, _ = scipy.integrate.quad(
-        lambda lam: fp.density_rr_closed(2, 1.0 / lam - 1.0) / lam**2, 1e-12, 1.0, limit=200
+        lambda lam: fp.global_density(2, 2, 1.0 / lam - 1.0) / lam**2, 1e-12, 1.0, limit=200
     )
     assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -164,7 +255,7 @@ def test_first_moment_diverges_for_s_ge_1():
     partial = []
     for X in (1e2, 1e4, 1e6):
         val, _ = scipy.integrate.quad(
-            lambda x: x * fp.density_rr_closed(1, x), 0.0, X, limit=300
+            lambda x: x * fp.global_density(1, 1, x), 0.0, X, limit=300
         )
         partial.append(val)
     assert partial[1] > 2.0 * partial[0]
@@ -217,7 +308,7 @@ def test_moments_rr_quadrature_oracle():
 
     def integrand(lam):
         x = 1.0 / lam - 1.0
-        return lam**2 * fp.density_rr_closed(2, x) / lam**2
+        return lam**2 * fp.global_density(2, 2, x) / lam**2
 
     val, _ = scipy.integrate.quad(integrand, 1e-12, 1.0, limit=400)
     assert val == pytest.approx(target, abs=1e-8)
@@ -228,11 +319,11 @@ def test_moments_rr_quadrature_oracle():
 
 def test_tail_small_x_forms():
     assert fp.tail_small_x(1, 0.01) == pytest.approx(1.0 / (math.pi * 0.1), rel=1e-13)
-    # solver as oracle: ratio approaches 1 from the measured subleading side
+    # ratio approaches 1 from the measured subleading side
     r_at_1em6 = fp.global_density(2, 0, 1e-6) / fp.tail_small_x(2, 1e-6)
     r_at_1em9 = fp.global_density(2, 0, 1e-9) / fp.tail_small_x(2, 1e-9)
     assert abs(r_at_1em6 - 1.0) < 0.05
     assert abs(r_at_1em9 - 1.0) < 0.005
     assert abs(r_at_1em9 - 1.0) < abs(r_at_1em6 - 1.0)
     # r = s = 2 closed form at 1e-6
-    assert fp.density_rr_closed(2, 1e-6) / fp.tail_small_x(2, 1e-6) == pytest.approx(1.0, abs=0.02)
+    assert fp.global_density(2, 2, 1e-6) / fp.tail_small_x(2, 1e-6) == pytest.approx(1.0, abs=0.02)

@@ -95,6 +95,16 @@ def test_mp_spectrum_ks():
     assert sp.sup_distance(sp.empirical_cdf(eig), cdf) < 0.03
 
 
+def test_global_density_cdf_ks():
+    # CdfFromDensity hands global_density an array of panel nodes
+    params = EnsembleParams(N=200, r=2, s=0, nu=(0, 0))
+    samples = sp.sample_spectra(params, 8, RngStream(5), scaling=Scaling.GLOBAL)
+    eig = np.concatenate([s.eigenvalues for s in samples])
+    cdf = sp.CdfFromDensity(lambda x: fp.global_density(2, 0, x), 0.0, 27.0 / 4.0)
+    assert cdf.total == pytest.approx(1.0, abs=1e-3)
+    assert sp.sup_distance(sp.empirical_cdf(eig), cdf) <= 0.03
+
+
 def test_scalar_product_moments():
     # N=1, r=2, s=0: eigenvalue |g2|^2 |g1|^2, mean 1, second moment 4
     params = EnsembleParams(N=1, r=2, s=0, nu=(0, 0))
