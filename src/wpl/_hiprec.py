@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .specfun import pi_in, reflected_ln_gamma
 
 LD = np.longdouble
 CLD = np.clongdouble
+# settling tolerance of every Gram entry on the ln-x trapezoid grid
+GRAM_TOL = 1e-10
 
 _LOG_2PI_HALF = 0.5 * np.log(2 * pi_in(LD))
 
@@ -118,10 +121,16 @@ def _p_matrix(params: EnsembleParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram_quadrature(params: EnsembleParams, lo: float, hi: float):
+    """Nodes, weights, P and Q in extended precision, on the ln-x trapezoid
+    grid over [lo, hi] on which every Gram entry has settled to GRAM_TOL."""
+    from .finite_kernel import pq_trapezoid
+
+    return pq_trapezoid(params, lo, hi, partial(_p_matrix, params), lambda p, q: p[:, None, :] * q[None, :, :],
+                        GRAM_TOL, LD)
+
+
 def gram_matrix(params: EnsembleParams, lo: float, hi: float) -> np.ndarray:
     """∫_0^∞ P_n Q_l dx over the given support window, in extended precision."""
-    from .finite_kernel import biorth_system, geometric_gl_grid
-
-    nodes, weights = geometric_gl_grid(lo, hi, leggauss_ld(20))
-    gram = (_p_matrix(params, nodes) * weights[None, :]) @ biorth_system(params).q_matrix(nodes).T
-    return gram.astype(float)
+    _, weights, p_mat, q_mat = gram_quadrature(params, lo, hi)
+    return ((p_mat * weights) @ q_mat.T).astype(float)

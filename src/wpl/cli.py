@@ -76,6 +76,14 @@ def _parse_grid(spec: str):
     return lo, hi, n
 
 
+def _parse_x_grid(spec: str):
+    """A grid of eigenvalue positions x, which must all be positive."""
+    lo, hi, n = _parse_grid(spec)
+    if not lo > 0:
+        raise ConfigError(f"x grid needs lo > 0, got {spec!r}")
+    return lo, hi, n
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -119,7 +127,7 @@ def cmd_sample(args, cfg) -> int:
 
 
 def cmd_density(args, cfg) -> int:
-    lo, hi, n = _parse_grid(args.grid)
+    lo, hi, n = _parse_x_grid(args.grid)
     xs = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
     closed = fp.global_density(args.r, args.s, xs)
     rows = []
@@ -190,7 +198,7 @@ def cmd_hardedge(args, cfg) -> int:
     rows = []
     header = ["x", "y", "K", "method"]
     if args.diag:
-        lo, hi, n = _parse_grid(args.diag)
+        lo, hi, n = _parse_x_grid(args.diag)
         xs = np.linspace(lo, hi, n)
         ks = he.k_hard_diag(params, xs, tol=cfg.quad.tol)
         if args.r == 1:

@@ -23,12 +23,19 @@ from . import _hiprec
 from .config import QUAD_TOL_DEFAULT
 from .errors import ContourCollision, DomainError, InternalImaginaryResidue, NonConvergent
 from .freeprob import EnsembleParams
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, gl_panels, ln_gamma, meijer_g, pfq
+from .specfun import (
+    ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, ln_gamma, ln_trapezoid, meijer_g, pfq,
+)
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
 # circle nodes per block of kernel_n_contour's line x circle matrices, so their
 # memory grows like the line alone; 512-node blocks ran 2-3x slower
 _CIRCLE_BLOCK = 64
+# settling tolerance of the float64 ln-x trapezoid grid, on the trace
+# ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
+# where q_matrix leaves the -1/2 line, that line has lost up to 7.6e-8 of
+# Q_l to cancellation, and the trapezoid error of a jump falls only like h.
+_TRACE_TOL = 1e-9
 
 
 class KernelEval(NamedTuple):
@@ -446,23 +453,23 @@ def _origin_cut(params: EnsembleParams) -> float:
     return max(1e-28, 10.0 ** -(16.0 + log10_p0))
 
 
-def geometric_gl_grid(lo: float, hi: float, rule, ratio: float = 1.5):
-    """Gauss-Legendre `rule` on geometric panels of [lo, hi], in the rule's dtype."""
-    dtype = rule[0].dtype.type
-    edges = [dtype(lo)]
-    while edges[-1] < hi:
-        edges.append(min(edges[-1] * dtype(ratio), dtype(hi)))
-    return gl_panels(rule, edges)
+def pq_trapezoid(params: EnsembleParams, lo: float, hi: float, p_matrix, settle, tol: float, dtype=np.float64):
+    """Nodes, weights, P and Q on the ln-x trapezoid grid over [lo, hi] on
+    which every integral of settle(P, Q) has settled to tol, in `dtype`;
+    p_matrix gives the P rows in that dtype."""
+    sys, N = biorth_system(params), params.N
+    nodes, weights, pq = ln_trapezoid(lambda x: np.concatenate([p_matrix(x), sys.q_matrix(x)]),
+                                      lambda pq: settle(pq[:N], pq[N:]), lo, hi, tol, dtype)
+    return nodes, weights, pq[:N], pq[N:]
 
 
 @lru_cache(maxsize=16)
 def _biorth_quadrature(params: EnsembleParams):
+    """Nodes, weights, P and Q in float64, on the grid on which the trace
+    ∫ Σ_l P_l Q_l dx has settled to _TRACE_TOL."""
     sys = biorth_system(params)
-    rule = np.polynomial.legendre.leggauss(20)
-    nodes, weights = geometric_gl_grid(_origin_cut(params), _support_cut(params, sys), rule)
-    p_mat = sys.p_matrix(nodes)
-    q_mat = sys.q_matrix(nodes)
-    return nodes, weights, p_mat, q_mat
+    return pq_trapezoid(params, _origin_cut(params), _support_cut(params, sys), sys.p_matrix,
+                        lambda p, q: np.einsum("li,li->i", p, q), _TRACE_TOL)
 
 
 @lru_cache(maxsize=16)
@@ -477,9 +484,10 @@ def biorth_matrix(params: EnsembleParams) -> np.ndarray:
     The polynomial lobes cancel masses of order 1e7 at N = 6, so P_n and
     Q_l are evaluated in longdouble (exact rational P coefficients, the
     BiorthSystem lines in extended precision).  The accuracy is set by that
-    precision and by the grid: 20-node Gauss-Legendre on geometric panels
-    (ratio 1.5) covering (lo, X_cut), with the cuts placed where the
-    remaining integrand mass is below ~1e-11.
+    precision and by the grid: the trapezoid rule in t = ln x over
+    (lo, X_cut), with the step halved until every entry has settled to
+    _hiprec.GRAM_TOL, and the cuts placed where the remaining integrand mass
+    is below ~1e-11.
     """
     return _biorth_gram(params).copy()
 

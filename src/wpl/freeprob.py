@@ -57,7 +57,6 @@ class StieltjesValue:
 
     z: complex
     G: complex
-    root_index: int
     residual: float
 
 
@@ -160,9 +159,7 @@ def solve_stieltjes(r: int, s: int, z: complex) -> StieltjesValue:
     if z.imag > 0 and G.imag <= -1e-13:
         raise NoPhysicalRoot(f"Herglotz violation: Im G = {G.imag} at z = {z}")
     residual = abs((1.0 - w) ** (s + 1) - zeta * w ** (r + 1))
-    roots = sorted(np.roots(_poly_coeffs(r, s, zeta)), key=lambda v: (v.real, v.imag))
-    root_index = int(np.argmin([abs(v - w) for v in roots]))
-    return StieltjesValue(z=z, G=G, root_index=root_index, residual=residual)
+    return StieltjesValue(z=z, G=G, residual=residual)
 
 
 def stieltjes_density(r: int, s: int, x: float) -> float:

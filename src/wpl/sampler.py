@@ -96,13 +96,6 @@ def _induced_square_batch(gen: np.random.Generator, batch: int, n: int, N: int) 
     return root @ u
 
 
-def sample_induced_square(n: int, N: int, rng: RngStream) -> np.ndarray:
-    """One N x N draw of the induced measure (det M†M)^{n-N} e^{-Tr M†M}."""
-    if n < N:
-        raise DomainError("need n >= N for the induced construction")
-    return _induced_square_batch(rng.generator(), 1, n, N)[0]
-
-
 def _draw_inverse_chain(gen: np.random.Generator, params: EnsembleParams) -> np.ndarray | None:
     """Product Gt_s ... Gt_1 of square induced factors, or None for s = 0."""
     if params.s == 0:

@@ -344,6 +344,44 @@ def gl_panels(rule, edges):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
+# most nodes ln_trapezoid may use; the finite-N grids settle within 1000
+_LN_TRAPEZOID_BUDGET = 20_000
+
+
+def ln_trapezoid(sample, settle, lo: float, hi: float, tol: float, dtype=np.float64):
+    """Self-checking trapezoid rule in t = ln x for ∫_0^∞ dx over [lo, hi].
+
+    The nodes are x_k = lo e^{kh} for k = 0, 1, ... until x_k >= hi, with
+    weights h x_k; for an integrand analytic in a strip about the t axis
+    that decays at both ends the rule converges geometrically in 1/h.  The
+    step starts at h = 1 and halves until every component of
+    I_h - I_{h/2} is below tol in modulus; the h/2 grid holds every node of
+    the h grid, so each level samples only its new midpoints.
+
+    sample(x) returns the values kept at the nodes, an array whose last axis
+    runs over x; settle(samples) maps them to the integrands whose integrals
+    must settle.  Returns the final nodes, weights and samples, in `dtype`.
+    A grid past _LN_TRAPEZOID_BUDGET nodes raises NonConvergent.
+    """
+    t0, h = np.log(dtype(lo)), dtype(1)
+    nodes = np.exp(t0 + h * np.arange(int(math.ceil(math.log(hi / lo))) + 1, dtype=dtype))
+    samples = sample(nodes)
+    prev = settle(samples) @ (h * nodes)
+    while True:
+        if 2 * len(nodes) - 1 > _LN_TRAPEZOID_BUDGET:
+            raise NonConvergent(f"ln-x trapezoid rule unsettled at {len(nodes)} nodes (h = {float(h):g})")
+        h = h / 2
+        mids = np.exp(t0 + h * np.arange(1, 2 * len(nodes) - 1, 2, dtype=dtype))
+        new = sample(mids)
+        nodes = np.insert(nodes, np.arange(1, len(nodes)), mids)
+        samples = np.insert(samples, np.arange(1, samples.shape[-1]), new, axis=-1)
+        weights = h * nodes
+        cur = settle(samples) @ weights
+        if np.max(np.abs(cur - prev)) < tol:
+            return nodes, weights, samples
+        prev = cur
+
+
 def gl_line(height, rule):
     """Nodes t and weights on [-height, height] from width-2 panels,
     mirror-symmetric about 0 (a vertical line s = c + i t)."""

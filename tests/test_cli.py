@@ -127,6 +127,24 @@ def test_config_error_exit_code():
     assert res.returncode == cli.EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("args", [
+    ["density", "--r", "1", "--s", "1", "--grid", "0:2:3"],
+    ["hardedge", "--r", "2", "--diag", "0:1:3"],
+], ids=["density", "hardedge"])
+def test_nonpositive_x_grid_is_config_error(args):
+    # x = 0 is bad input, not a numerical failure
+    res = run_cli(args)
+    assert res.returncode == cli.EXIT_CONFIG_ERROR
+    assert "x grid needs lo > 0" in res.stderr
+
+
+def test_bulk_default_grid_starts_at_zero():
+    # bulk's grid is in t = y - x, where the default 0:2:9 starts at t = 0
+    res = run_cli(["bulk", "--r", "1"])
+    assert res.returncode == 0
+    assert float(res.stdout.splitlines()[1].split(",")[0]) == 0.0
+
+
 def test_numerical_failure_exit_code():
     res = run_cli(["kernel", "--N", "120", "--r", "1", "--s", "1", "--nu", "0", "--mu", "0",
                    "--x", "1", "--y", "1", "--method", "contour"])

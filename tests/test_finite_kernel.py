@@ -133,6 +133,7 @@ def moment_error(nodes, weights, q_mat, exact):
 @pytest.mark.parametrize("params", _BIORTH_SETS, ids=lambda p: f"r{p.r}s{p.s}")
 def test_q_mellin_moments_float64(params):
     nodes, w, _, q_mat = fk._biorth_quadrature(params)
+    assert len(nodes) <= 1000
     assert moment_error(nodes, w, q_mat, mellin_moments(params)) < 1e-8
 
 
@@ -140,9 +141,8 @@ def test_q_mellin_moments_longdouble():
     # (2,2): the algebraic tail is the double-precision engine's weak spot
     params = _BIORTH_SETS[2]
     lo, hi = fk._origin_cut(params), fk._support_cut(params, fk.biorth_system(params))
-    nodes, w = fk.geometric_gl_grid(lo, hi, _hiprec.leggauss_ld(20))
-    q_mat = fk.BiorthSystem(params).q_matrix(nodes)
-    assert q_mat.dtype == np.longdouble
+    nodes, w, _, q_mat = _hiprec.gram_quadrature(params, lo, hi)  # the grid of biorth_matrix
+    assert q_mat.dtype == np.longdouble and len(nodes) <= 1000
     assert moment_error(nodes, w, q_mat, mellin_moments(params)) < 1e-11
 
 

@@ -302,6 +302,57 @@ def test_mellin_power_k1_finite_difference():
         assert sf.meijer_g_mellin_power(spec, ct, x, 1) == pytest.approx(fd, rel=1e-6)
 
 
+# --- ln-x trapezoid rule -------------------------------------------------
+
+
+def _identity(v):
+    return v
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.longdouble, 1e-15)])
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_ln_trapezoid_gamma_integral(dtype, tol, a):
+    # ∫_0^∞ x^a e^{-x} dx = Γ(a + 1); the cuts leave < 1e-30 of the mass out
+    nodes, weights, vals = sf.ln_trapezoid(lambda x: x**a * np.exp(-x), _identity, 1e-30, 80.0, tol, dtype)
+    assert nodes.dtype == weights.dtype == vals.dtype == dtype
+    exact = np.sqrt(sf.pi_in(dtype)) / 2 if a == 0.5 else dtype(2)
+    assert abs(weights @ vals - exact) < tol
+
+
+def test_ln_trapezoid_samples_only_new_midpoints():
+    calls = []
+
+    def sample(x):
+        calls.append(x.copy())
+        return np.exp(-x)
+
+    nodes, _, vals = sf.ln_trapezoid(sample, _identity, 1e-12, 40.0, 1e-10)
+    assert len(calls) >= 3
+    assert np.array_equal(vals, np.exp(-nodes))
+    grid = calls[0]
+    assert np.allclose(np.diff(np.log(grid)), 1.0)  # h = 1 to start
+    for mids in calls[1:]:
+        # one new node strictly between each pair of old ones, none repeated
+        assert len(mids) == len(grid) - 1
+        assert np.all((grid[:-1] < mids) & (mids < grid[1:]))
+        grid = np.insert(grid, np.arange(1, len(grid)), mids)
+    assert np.array_equal(grid, nodes)
+
+
+def test_ln_trapezoid_jump_raises_at_budget():
+    # a jump makes the trapezoid error fall only like h: the halving must
+    # stop at the node budget rather than loop
+    calls = []
+
+    def sample(x):
+        calls.append(len(x))
+        return np.where(x < 1.7, np.exp(-x), 0.0)
+
+    with pytest.raises(NonConvergent):
+        sf.ln_trapezoid(sample, _identity, 1e-3, 50.0, 1e-10)
+    assert sum(calls) <= sf._LN_TRAPEZOID_BUDGET
+
+
 # --- bessel_j ------------------------------------------------------------
 
 
