@@ -212,7 +212,7 @@ def check_hard_edge_convergence(tol_scale: float = 1.0) -> CheckResult:
     t0 = time.time()
     grid = np.linspace(0.2, 4.0, 6)
     ph = HardEdgeParams(r=2, nu=(0, 0))
-    k_lim = np.array([[he.k_hard(ph, float(a), float(b)).value for b in grid] for a in grid])
+    k_lim = he.k_hard_grid(ph, grid, grid)
     scale = float(np.max(np.abs(k_lim)))
     detail = {}
     kept = {}

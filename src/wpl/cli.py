@@ -213,10 +213,12 @@ def cmd_hardedge(args, cfg) -> int:
     else:
         xs = _parse_floats(args.x)
         ys = _parse_floats(args.y)
-        for x in xs:
-            for y in ys:
+        if args.method in ("integral", "both"):
+            grid = he.k_hard_grid(params, xs, ys, tol=cfg.quad.tol)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
                 if args.method in ("integral", "both"):
-                    rows.append((x, y, he.k_hard(params, x, y, tol=cfg.quad.tol).value, "integral"))
+                    rows.append((x, y, float(grid[i, j]), "integral"))
                 if args.method in ("cd", "both"):
                     rows.append((x, y, he.k_hard_cd(params, x, y, tol=cfg.quad.tol).value, "christoffel_darboux"))
     meta = {"r": args.r, "nu": nu, "method": args.method}

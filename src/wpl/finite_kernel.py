@@ -36,6 +36,7 @@ _CIRCLE_BLOCK = 64
 # where q_matrix leaves the -1/2 line, that line has lost up to 7.6e-8 of
 # Q_l to cancellation, and the trapezoid error of a jump falls only like h.
 _TRACE_TOL = 1e-9
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class KernelEval(NamedTuple):
@@ -57,8 +58,13 @@ class CorrelationResult:
 
 
 def c_l(params: EnsembleParams, l: int) -> float:
-    """Biorthogonality constant (-1)^l Π_j Γ(ν_j+l+1) Π_p Γ(μ_p+N-l), ν_0 := 0."""
+    """Biorthogonality constant (-1)^l Π_j Γ(ν_j+l+1) Π_p Γ(μ_p+N-l), ν_0 := 0.
+
+    A constant beyond the float64 range (from N ~ 100) raises NonConvergent.
+    """
     log_abs = _log_abs_c(params, l)
+    if log_abs > _LOG_FLOAT_MAX:
+        raise NonConvergent(f"C_{l} = e^{log_abs:.0f} overflows float64 at N = {params.N}")
     return (-1.0) ** l * math.exp(log_abs)
 
 
@@ -130,7 +136,7 @@ class BiorthSystem:
         self.tol = tol
         N = params.N
         self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(N)])
-        self.C = np.array([(-1.0) ** l * math.exp(v) for l, v in enumerate(self.log_abs_C)])
+        self.C = np.array([c_l(params, l) for l in range(N)])
         self._lines: dict[tuple, MellinLine] = {}
         self._line("mid", np.float64)
 

@@ -168,9 +168,14 @@ def stieltjes_density(r: int, s: int, x: float) -> float:
     Im G(x + i*eps)/pi at eps, eps/2, eps/4; the two-stage extrapolation
     removes the O(eps) and O(eps^2) terms.  eps scales with x because the
     density varies on scale x near the hard edge (x^{-r/(r+1)} behaviour).
-    This is the cross-check route for `global_density`.  Its envelope is in
-    the README: beyond x = 1e3 it can raise or return a wrong value (from
-    x ~ 3e3 when r > s >= 2).
+    This is the cross-check route for `global_density`.
+
+    The two first-stage estimates a (eps, eps/2) and b (eps/2, eps/4) agree
+    to 5e-10 of rho wherever the homotopy finds the physical root; beyond
+    the envelope in the README (x ~ 3e3 and up when r > s >= 2) a wrong
+    root makes them differ by the size of rho itself.  A disagreement above
+    1e-6 rho plus a rounding floor of 1e-12/x (some 5e3 eps |G|, which
+    covers the noise off the support) raises NonConvergent.
     """
     if x <= 0:
         raise DomainError("stieltjes_density requires x > 0")
@@ -179,6 +184,8 @@ def stieltjes_density(r: int, s: int, x: float) -> float:
     a = 2.0 * f[1] - f[0]
     b = 2.0 * f[2] - f[1]
     rho = (4.0 * b - a) / 3.0
+    if abs(a - b) > 1e-6 * abs(rho) + 1e-12 / x:
+        raise NonConvergent(f"Richardson estimates {a} and {b} disagree at x = {x}: wrong root")
     if rho < 0:
         if rho < -1e-9:
             raise NoPhysicalRoot(f"negative density {rho} at x = {x}")

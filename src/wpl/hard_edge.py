@@ -2,11 +2,14 @@
 
 K_hard^r(x, y) = ∫_0^1 G^{1,0}_{0,r+1}(ux | -ν_0..-ν_r) G^{r,0}_{0,r+1}(uy | ν_1..ν_r, ν_0) du
 
-with ν_0 := 0.  The first factor reduces to a 0F_r series; the second is a
+with ν_0 := 0.  The first factor is a 0F_r series; the second is a
 Mellin-Barnes line integral (r >= 2) or another Bessel-type series (r = 1).
-Alongside the integral form: the generalized Christoffel-Darboux form (all
-ν = 0), the scaled characteristic-polynomial limit, and the tail/bulk
-comparison experiments, which report diagnostics rather than gate anything.
+At r >= 2 the u-integral is done termwise in the series, leaving one line
+contracted with the pairs (x, y) (`_mellin_pairs`); at r = 1, whose line
+does not decay, the two Bessel factors are integrated over u.  Alongside
+the integral form: the generalized Christoffel-Darboux form (all ν = 0),
+the scaled characteristic-polynomial limit, and the tail/bulk comparison
+experiments, which report diagnostics rather than gate anything.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import QUAD_TOL_DEFAULT
-from .errors import CoincidentPoints, DomainError, UnsupportedR
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, gl_panels, pfq
+from .errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
+from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, gl_panels, meijer_line, pfq
 
 
 @dataclass(frozen=True)
@@ -41,42 +44,42 @@ class HardKernelEval(NamedTuple):
     method: str
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _g10_terms(params: HardEdgeParams, x: np.ndarray) -> np.ndarray:
+    """The terms c_k x^k of G^{1,0}_{0,r+1}(x | -ν_0..-ν_r), rows k = 0, 1, ...
+
+    c_k = (-1)^k / (k! Π_j Γ(1+ν_j+k)).  The terms rise to a peak near
+    k = x^{1/(r+1)} and then fall; rows stop once every point's term is
+    e^{-40} below its largest.
+    """
+    log_x = np.log(x)
+    rows, top, k = [], np.full_like(log_x, -np.inf), 0
+    while True:
+        log_t = k * log_x - math.lgamma(k + 1) - sum(math.lgamma(1.0 + v + k) for v in params.nu)
+        top = np.maximum(top, log_t)
+        if np.max(top) > _LOG_FLOAT_MAX:
+            raise NonConvergent(f"0F_r series terms overflow at x = {np.max(x):g}")
+        rows.append((-1.0) ** k * np.exp(log_t))
+        if np.all(log_t < top - 40.0):
+            return np.array(rows)
+        k += 1
+
+
 def _g10_series(params: HardEdgeParams, w: np.ndarray, power: int = 0) -> np.ndarray:
     """G^{1,0}_{0,r+1}(w | -ν_0,..,-ν_r) = 0F_r(; 1+ν; -w)/Π Γ(1+ν_j),
     with (x d/dx)^power applied termwise.
 
     For r = 1 the series is bounded-oscillatory (Bessel) and cancels badly
-    at large w, so it goes through bessel_j; for r >= 2 the envelope grows
-    like e^{(r+1) cos(pi/(r+1)) w^{1/(r+1)}} and the series keeps relative
-    precision.
+    at large w, so its values go through bessel_j.
     """
-    pref = 1.0
-    for v in params.nu:
-        pref /= math.gamma(v + 1.0)
     if power == 0 and params.r == 1:
         wv = np.asarray(w, dtype=float)
         nu1 = float(params.nu[0])
         return wv ** (-0.5 * nu1) * bessel_j(nu1, 2.0 * np.sqrt(wv))
-    if power == 0:
-        series = pfq(HypSeriesParams.of((), tuple(1.0 + v for v in params.nu)), -w)
-        return pref * np.asarray(series)
-    # termwise: coefficient of w^k gets k^power
-    w = np.asarray(w, dtype=float)
-    total = np.zeros_like(w)
-    term = np.ones_like(w)
-    k = 0
-    while True:
-        if k > 0:
-            den = float(k)
-            for v in params.nu:
-                den *= v + k
-            term = term * (-w) / den
-            total = total + (k**power) * term
-        k += 1
-        if k > 8 and np.all(np.abs(term) * k**power <= 1e-17 * np.maximum(np.abs(total), 1.0)):
-            return pref * total
-        if k > 10_000:
-            raise DomainError("series for G^{1,0} did not converge")
+    terms = _g10_terms(params, np.asarray(w, dtype=float))
+    return np.arange(len(terms)) ** power @ terms  # coefficient of w^k gets k^power
 
 
 def _gr0_spec(params: HardEdgeParams) -> MeijerSpec:
@@ -88,22 +91,12 @@ def _gr0_values(params: HardEdgeParams, w: np.ndarray, power: int = 0, tol: floa
     """G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0), vectorized, with Δ^power."""
     if params.r == 1:
         nu1 = params.nu[0]
-        if power == 0:
-            wv = np.asarray(w, dtype=float)
-            return wv ** (0.5 * nu1) * bessel_j(float(nu1), 2.0 * np.sqrt(wv))
-        # termwise derivative of sum_k (-1)^k w^{nu1+k} / (k! Γ(nu1+k+1))
         wv = np.asarray(w, dtype=float)
-        total = np.zeros_like(wv)
-        term = wv**nu1 / math.gamma(nu1 + 1.0)
-        k = 0
-        while True:
-            total = total + (nu1 + k) ** power * term
-            k += 1
-            term = term * (-wv) / (k * (nu1 + k))
-            if k > 8 and np.all(np.abs(term) * (nu1 + k) ** power <= 1e-17 * np.maximum(np.abs(total), 1e-10)):
-                return total
-            if k > 10_000:
-                raise DomainError("series for G^{1,0}_{0,2} did not converge")
+        if power == 0:
+            return wv ** (0.5 * nu1) * bessel_j(float(nu1), 2.0 * np.sqrt(wv))
+        # Σ_k (-1)^k w^{nu1+k} / (k! Γ(nu1+k+1)) = w^{nu1} G^{1,0}(w), termwise
+        terms = _g10_terms(params, wv)
+        return wv**nu1 * ((nu1 + np.arange(len(terms))) ** power @ terms)
     spec = _gr0_spec(params)
     contour = ContourSpec.auto(spec, tol=tol)
     from .specfun import _meijer_eval  # vectorized core
@@ -111,10 +104,11 @@ def _gr0_values(params: HardEdgeParams, w: np.ndarray, power: int = 0, tol: floa
     return np.asarray(_meijer_eval(spec, contour, w, power))
 
 
-def _u_grid(x: float, y: float, r: int):
-    """Nodes/weights for ∫_0^1 du with u = e^{-t}: resolves the log endpoint."""
+def _u_grid(x_max: float):
+    """Nodes/weights for ∫_0^1 du with u = e^{-t}: resolves the log endpoint
+    and the oscillation of the r = 1 Bessel factors at points up to x_max."""
     t_max = 42.0
-    phase = 3.0 * ((max(x, y)) ** (1.0 / (r + 1))) + 8.0  # oscillation budget
+    phase = 3.0 * math.sqrt(x_max) + 8.0  # oscillation budget
     n_panels = max(24, int(t_max * 1.2), int(2.0 * phase))
     edges = np.linspace(0.0, t_max, n_panels + 1)
     t, wt = gl_panels(np.polynomial.legendre.leggauss(12), edges)
@@ -122,23 +116,99 @@ def _u_grid(x: float, y: float, r: int):
     return u, wt * u  # du = e^{-t} dt
 
 
+def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """r = 1: K(pts[ix], pts[iy]) by the u-integral of the two Bessel factors."""
+    u, w = _u_grid(float(np.max(pts)))
+    f = _g10_series(params, np.outer(u, pts)) * w[:, None]
+    g = _gr0_values(params, np.outer(u, pts))
+    return np.einsum("qp,qp->p", f[:, ix], g[:, iy])
+
+
+# Largest estimated rounding error, relative to sqrt(K(x,x) K(y,y)), that
+# the Mellin route returns; measured errors sit 20-60x below the estimate
+_LOSS_BUDGET = 1e-8
+
+
+def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray, tol: float) -> np.ndarray:
+    """r >= 2: K(pts[ix], pts[iy]) by one Mellin-Barnes line, for pairs that
+    include every diagonal pair (p, p).
+
+    With g(w) = (1/2πi)∫ F(s) w^s ds, F(s) = Π_j Γ(ν_j - s)/Γ(1 + s), and
+    f(w) = Σ_k c_k w^k, the u-integral ∫_0^1 (ux)^k (uy)^s du = x^k y^s/(k+s+1)
+    gives
+
+        K(x, y) = (1/2πi)∫ F(s) y^s H(s, x) ds,  H(s, x) = Σ_k c_k x^k/(k+s+1),
+
+    one line contracted with the node x pair matrix H(s_i, x) y^{s_i}.  The
+    poles of H at s = -1-k lie at least as far from the line Re s =
+    min ν - 1/2 as the nearest pole of F, so the line is that of G^{r,0}.
+    The alternating series loses about (r+1)(1 - cos(π/(r+1))) x^{1/(r+1)}
+    nats, and the line about (r+1) cos(π/(r+1)) y^{1/(r+1)} to the decay of
+    G^{r,0}.  The rounding error is bounded by eps times the unsigned mass
+    Σ_i |w_i F(s_i)| y^c Σ_k |c_k| x^k/(k+c+1), and a pair whose bound
+    exceeds _LOSS_BUDGET of sqrt(K(x,x) K(y,y)) raises NonConvergent.
+    """
+    spec = _gr0_spec(params)
+    contour = ContourSpec.auto(spec, tol=tol)
+    log_pts = np.log(pts)
+    line = meijer_line(spec, contour, float(np.max(np.abs(log_pts))))
+    c = contour.abscissa
+    terms = _g10_terms(params, pts)
+    k = np.arange(len(terms))
+    h = (1.0 / (k[None, :] + 1.0 + line.u[:, None])) @ terms  # H(s_i, x_p)
+    y_s = np.exp(np.outer(line.u, log_pts))
+    log_scale = (c * log_pts)[iy] + np.log(np.abs(terms).T @ (1.0 / (k + 1.0 + c)))[ix]
+    vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], log_scale, tol)[0]
+    root_diag = np.empty(len(pts))
+    root_diag[ix[ix == iy]] = np.sqrt(np.abs(vals[ix == iy]))
+    with np.errstate(divide="ignore", over="ignore"):
+        loss = np.finfo(float).eps * np.exp(line.log_mass[0] + log_scale) / (root_diag[ix] * root_diag[iy])
+    if np.max(loss) > _LOSS_BUDGET:
+        worst = int(np.argmax(loss))
+        raise NonConvergent(
+            f"hard-edge series loses too much at (x, y) = ({pts[ix[worst]]:g}, {pts[iy[worst]]:g}): "
+            f"estimated error {loss[worst]:.1e} of sqrt(K(x,x) K(y,y))")
+    return vals
+
+
+def _kernel_pairs(params: HardEdgeParams, x, y, tol: float) -> np.ndarray:
+    """K(x_p, y_p) for positive point arrays x, y of one length."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
+        raise DomainError("the hard-edge kernel requires finite x, y > 0")
+    pts, inv = np.unique(np.concatenate([x, y]), return_inverse=True)
+    n, d = len(x), np.arange(len(pts))
+    # the diagonal pairs come along: the Mellin route scales its loss by them
+    ix, iy = np.concatenate([inv[:n], d]), np.concatenate([inv[n:], d])
+    if params.r == 1:
+        vals = _bessel_pairs(params, pts, ix, iy)
+    else:
+        vals = _mellin_pairs(params, pts, ix, iy, tol)
+    return vals[:n]
+
+
+def k_hard_grid(params: HardEdgeParams, xs, ys, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+    """K_hard(x_i, y_j) on a grid, rows x_i (independent of s and of mu).
+
+    r >= 2 contracts one Mellin-Barnes line with the 0F_r series (see
+    _mellin_pairs); r = 1, whose line does not decay, integrates the two
+    Bessel factors over u.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return _kernel_pairs(params, gx.ravel(), gy.ravel(), tol).reshape(len(xs), len(ys))
+
+
 def k_hard(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_DEFAULT) -> HardKernelEval:
-    """Hard-edge kernel by the u-integral (independent of s and of mu)."""
-    if x <= 0 or y <= 0:
-        raise DomainError("k_hard requires x, y > 0")
-    u, w = _u_grid(x, y, params.r)
-    f = _g10_series(params, u * x)
-    g = _gr0_values(params, u * y, tol=tol)
-    return HardKernelEval(x=x, y=y, value=float(w @ (f * g)), method="integral")
+    """Hard-edge kernel at one point: a 1 x 1 k_hard_grid."""
+    value = float(k_hard_grid(params, [x], [y], tol)[0, 0])
+    return HardKernelEval(x=x, y=y, value=value, method="integral")
 
 
 def k_hard_diag(params: HardEdgeParams, xs: np.ndarray, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
     """K_hard(x, x) on a grid of points."""
     xs = np.asarray(xs, dtype=float)
-    out = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        out[i] = k_hard(params, float(x), float(x), tol=tol).value
-    return out
+    return _kernel_pairs(params, xs, xs, tol)
 
 
 def bessel_density(a: int, x) -> np.ndarray:
@@ -281,11 +351,9 @@ def rho2_tail_report(r: int, x: float, y: float, n_phase: int = 9) -> dict:
     x_end = ((theta_x0 + 2.0 * math.pi) / ((r + 1) * beta)) ** (r + 1)
     y0 = max(y, 1.05 * x_end)
     ys = _phase_uniform_window(r, y0, n_phase)
-    ratios = []
-    for xv in xs:
-        for yv in ys:
-            prod = -k_hard(params, float(xv), float(yv)).value * k_hard(params, float(yv), float(xv)).value
-            ratios.append(prod / rho2_truncated_tail(r, float(xv), float(yv)))
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
+    kxy, kyx = np.split(_kernel_pairs(params, np.concatenate([gx, gy]), np.concatenate([gy, gx]), QUAD_TOL_DEFAULT), 2)
+    ratios = [-a * b / rho2_truncated_tail(r, float(xv), float(yv)) for a, b, xv, yv in zip(kxy, kyx, gx, gy)]
     ratio = float(np.mean(ratios))
     return {
         "windows": ((float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1]))),
@@ -313,9 +381,9 @@ def bulk_experiment(r: int, c: float, x: float, y: float) -> tuple[float, float]
     scale = math.pi * c ** (r / (r + 1.0)) / math.sin(math.pi / (r + 1))
     X = c + x * scale
     Y = c + y * scale
+    kxy, kyx = _kernel_pairs(params, [X, Y], [Y, X], QUAD_TOL_DEFAULT)
     if x == y:
-        kxx = k_hard(params, X, X).value
-        return (scale * kxx) ** 2, 1.0
-    prod = scale**2 * k_hard(params, X, Y).value * k_hard(params, Y, X).value
+        return (scale * kxy) ** 2, 1.0
+    prod = scale**2 * kxy * kyx
     t = math.pi * (x - y)
     return prod, (math.sin(t) / t) ** 2

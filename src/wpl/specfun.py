@@ -405,8 +405,9 @@ class MellinLine:
 
     u are the nodes of a vertical line Re u = c, mirror-symmetric about the
     real axis, w their weights and log_f the log F_l(u_i), one row per sum
-    (a 1-d log_f is one row).  The sums are evaluated in the precision of
-    log_f: complex128 or clongdouble.
+    (a 1-d log_f is one row).  `contract` puts any node x point matrix in
+    place of x^{u_i}.  The sums are evaluated in the precision of log_f:
+    complex128 or clongdouble.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray, log_f: np.ndarray):
@@ -426,38 +427,63 @@ class MellinLine:
                 self.coeff = np.exp(self.log_f) * w / self.two_pi
 
     def eval(self, x: np.ndarray, tol: float) -> np.ndarray:
-        """The real parts of the sums at positive points x, rows x len(x).
+        """The real parts of the sums at positive points x, rows x len(x)."""
+        log_x = np.log(x)
+        if self.coeff is not None:
+            return self.contract(lambda sl: np.exp(np.outer(self.u, log_x[sl])), self.c * log_x, tol)
+        # fold x^u into the exponent so saddle-shifted lines stay in range
+        return self._sum_blocks(
+            lambda sl: np.array([self.w @ np.exp(lf[:, None] + np.outer(self.u, log_x[sl])) for lf in self.log_f])
+            / self.two_pi,
+            self.c * log_x, tol)
+
+    def contract(self, basis, log_scale: np.ndarray, tol: float) -> np.ndarray:
+        """Re Σ_i coeff[l, i] M[i, j], rows x points: the sums with a node x
+        point matrix M in place of x^u.
+
+        M must be conjugate at mirrored nodes, as x^u is.  basis(sl) gives
+        the columns M[:, sl] of one block of points, so M is never formed
+        whole; log_scale[j] bounds ln max_i |M[i, j]|, which with
+        exp(log_mass) = Σ_i |coeff[l, i]| bounds the unsigned mass of point j.
+        """
+        if self.coeff is None:
+            raise NonConvergent("Mellin-Barnes line coefficients overflow")
+        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), log_scale, tol)
+
+    def _sum_blocks(self, sums, log_scale: np.ndarray, tol: float) -> np.ndarray:
+        """sums(sl) in blocks of _CHUNK points, under the imaginary-residue guard.
 
         Conjugate node pairs cancel Im exactly; the rounding residue scales
-        with the unsigned mass Σ|w F x^u|, so an Im part above
+        with the unsigned mass (log_mass + log_scale), so an Im part above
         max(1e3 tol, 1e-12 mass) flags a contour bug and raises
         InternalImaginaryResidue.  A sum that is not finite raises
         NonConvergent.
         """
-        log_x = np.log(x)
-        out = np.empty((len(self.log_f), len(log_x)), dtype=np.real(self.log_f).dtype)
+        n = len(log_scale)
+        out = np.empty((len(self.log_f), n), dtype=np.real(self.log_f).dtype)
         imax = 0.0
-        for lo in range(0, len(log_x), _CHUNK):
-            ulx = np.outer(self.u, log_x[lo : lo + _CHUNK])
+        for lo in range(0, n, _CHUNK):
             with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-                if self.coeff is not None:
-                    vals = self.coeff @ np.exp(ulx)
-                else:
-                    # fold x^u into the exponent so saddle-shifted lines stay in range
-                    vals = np.array([self.w @ np.exp(lf[:, None] + ulx) for lf in self.log_f]) / self.two_pi
+                vals = sums(slice(lo, lo + _CHUNK))
             if not np.all(np.isfinite(vals)):
                 raise NonConvergent("Mellin-Barnes line sum is not finite")
             out[:, lo : lo + _CHUNK] = vals.real
             imax = max(imax, float(np.max(np.abs(vals.imag), initial=0.0)))
         with np.errstate(over="ignore"):
-            mass = np.exp(np.max(self.log_mass) + np.max(self.c * log_x))
+            mass = np.exp(np.max(self.log_mass) + np.max(log_scale))
         allowed = max(1e3 * tol, 1e-12 * float(mass))
         if imax > allowed:
             raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard {allowed}")
         return out
 
 
-def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, power: int) -> np.ndarray:
+def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
+    """The Mellin-Barnes line of `spec` along `contour`, for points |ln x| <= lx_max.
+
+    The half-height grows until the integrand's tail is below tol/100; the
+    per-panel order resolves the nearest pole and the x^{it} oscillation.
+    The integrand picks up a factor s^power.
+    """
     _validate_contour(spec, contour)
     c = contour.abscissa
     kappa = 0.5 * math.pi * spec.decay_exponent
@@ -466,7 +492,6 @@ def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, po
             "vertical-line integrand does not decay (2(m+n) <= p+q); "
             "no residue series available for this spec"
         )
-    lx_max = float(np.max(np.abs(np.log(x))))
 
     def tail_log_mag(height: float) -> float:
         s_top = c + 1j * height
@@ -496,7 +521,7 @@ def _meijer_quadrature(spec: MeijerSpec, contour: ContourSpec, x: np.ndarray, po
     log_f = _mb_log_integrand(spec, s)
     if power:
         log_f = log_f + power * np.log(s)
-    return MellinLine(s, w, log_f).eval(x, contour.tol)[0]
+    return MellinLine(s, w, log_f)
 
 
 def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int, tol: float) -> np.ndarray:
@@ -534,7 +559,8 @@ def _meijer_eval(spec: MeijerSpec, contour: ContourSpec, x, power: int):
     if np.any(x_arr <= 0):
         raise ContourViolation("argument x must be positive")
     if spec.decay_exponent > 0:
-        out = _meijer_quadrature(spec, contour, x_arr, power)
+        lx_max = float(np.max(np.abs(np.log(x_arr))))
+        out = meijer_line(spec, contour, lx_max, power).eval(x_arr, contour.tol)[0]
     elif spec.m == 1 and spec.n == 0 and spec.p < spec.q:
         _validate_contour(spec, contour)
         out = _meijer_series(spec, x_arr, power, contour.tol)

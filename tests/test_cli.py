@@ -152,6 +152,14 @@ def test_numerical_failure_exit_code():
     assert "nan" not in res.stdout
 
 
+def test_kernel_overflowing_constant_is_numerical_failure():
+    # C_99 = (99!)^2 at N = 100, r = 1 leaves the float64 range
+    res = run_cli(["kernel", "--N", "100", "--r", "1", "--s", "0", "--nu", "0", "--x", "50", "--y", "50"])
+    assert res.returncode == cli.EXIT_NUMERICAL_FAILURE
+    assert "overflows float64" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_acceptance_list_and_single_check():
     res = run_cli(["acceptance", "--list"])
     assert res.returncode == 0

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from wpl import freeprob as fp
-from wpl.errors import DomainError, PoleAtMinusOne
+from wpl.errors import DomainError, NonConvergent, PoleAtMinusOne
 from wpl.freeprob import EnsembleParams
 
 
@@ -204,6 +204,36 @@ def test_global_density_r0_matches_solver():
         for x in np.geomspace(1.05 * edge, 1e3, 15):
             assert abs(fp.global_density(0, s, float(x)) - fp.stieltjes_density(0, s, float(x))) < 1e-9
         assert fp.stieltjes_density(0, s, 0.5 * edge) == 0.0
+
+
+# points of a 40-point log scan of [1e3, 2e6] where the homotopy lands on a
+# wrong root and the Richardson result used to come back off by 1.3-4x
+# (1.81e-7 against 6.78e-8 at (3,2), x = 8.85e4)
+@pytest.mark.parametrize("r,s,x", [
+    (3, 2, 88462.92182376178), (3, 2, 1354398.319194773), (4, 3, 346141.63665927533),
+    (5, 4, 27473.279908146378), (4, 2, 2000000.0),
+])
+def test_stieltjes_density_raises_beyond_envelope(r, s, x):
+    with pytest.raises(NonConvergent):
+        fp.stieltjes_density(r, s, x)
+
+
+STIELTJES_PAIRS = ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 1), (4, 2))
+
+
+@pytest.mark.parametrize("r,s", STIELTJES_PAIRS)
+def test_stieltjes_envelope_rule_quiet_inside(r, s):
+    # on [1e-9, 1e3], off the support included, up to 1% from a soft edge,
+    # the Richardson agreement rule never fires and the value is right
+    xs = list(np.geomspace(1e-9, 1e3, 6))
+    edges = ([(r + 1) ** (r + 1) / r**r] if s == 0 else []) + ([s**s / (s + 1) ** (s + 1)] if r == 0 else [])
+    xs += [e * f for e in edges for f in (0.9, 0.99, 1.01, 1.1)]
+    for x in xs:
+        if any(0.99 * e < x < 1.01 * e for e in edges):
+            continue
+        rho = fp.stieltjes_density(r, s, float(x))
+        ref = float(fp.global_density(r, s, float(x)))
+        assert abs(rho - ref) <= 1e-9 * max(ref, 1.0), (r, s, x)
 
 
 def test_rr_transformed_is_arcsine():

@@ -1,12 +1,14 @@
 """Hard-edge kernel, tails, and experiment tests."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wpl import hard_edge as he
-from wpl.errors import CoincidentPoints, DomainError, UnsupportedR
+from wpl.errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
 from wpl.hard_edge import HardEdgeParams
 from wpl.specfun import bessel_j
 
@@ -28,6 +30,13 @@ def test_params_validation():
         HardEdgeParams(r=0, nu=())
     with pytest.raises(DomainError):
         HardEdgeParams(r=2, nu=(0,))
+    # NaN and inf used to escape as a ValueError from the line's order
+    for params in (R1, R2):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                he.k_hard(params, bad, 1.0)
+            with pytest.raises(DomainError):
+                he.k_hard_diag(params, [1.0, bad])
 
 
 def test_diagonal_bessel_values():
@@ -207,3 +216,83 @@ def test_bulk_x_equals_y():
     prod, ref = he.bulk_experiment(2, 95.0, 0.7, 0.7)
     assert ref == 1.0
     assert prod > 0
+
+
+# --- the Mellin-space route (r >= 2) ---------------------------------------
+
+
+def _khard_table():
+    """The committed 30-digit mpmath table: {(r, nu, x, y): value} and its lattice."""
+    path = Path(__file__).resolve().parent.parent / "wplbench" / "khard_table.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    table = {(row["r"], tuple(row["nu"]), row["x"], row["y"]): float(row["value"]) for row in doc["rows"]}
+    return table, doc["lattice"]
+
+
+def test_grid_matches_mpmath_table():
+    table, lattice = _khard_table()
+    families = sorted({(r, nu) for r, nu, _, _ in table})
+    assert len(table) == 108 and len(families) == 3
+    for r, nu in families:
+        grid = he.k_hard_grid(HardEdgeParams(r=r, nu=nu), lattice, lattice)
+        for i, x in enumerate(lattice):
+            for j, y in enumerate(lattice):
+                scale = math.sqrt(table[(r, nu, x, x)] * table[(r, nu, y, y)])
+                assert abs(grid[i, j] - table[(r, nu, x, y)]) <= 1e-12 * scale, (r, nu, x, y)
+
+
+def test_diag_is_grid_diagonal():
+    xs = np.geomspace(1e-4, 40.0, 25)
+    for params in (R2, HardEdgeParams(r=3, nu=(0, 1, 0))):
+        diag = he.k_hard_diag(params, xs)
+        assert np.max(np.abs(diag / np.diag(he.k_hard_grid(params, xs, xs)) - 1.0)) < 1e-13
+
+
+def test_k_hard_matches_cd_at_check10_pairs():
+    # the 20 pairs of acceptance check 10
+    rng = np.random.default_rng(11)
+    pairs = 0
+    while pairs < 20:
+        x, y = rng.uniform(0.5, 20.0, 2)
+        if abs(x - y) < 1e-3 * max(x, y):
+            continue
+        a = he.k_hard(R2, float(x), float(y)).value
+        b = he.k_hard_cd(R2, float(x), float(y)).value
+        assert abs(a - b) <= 1e-10 * abs(b), (x, y)
+        pairs += 1
+
+
+# mpmath at 20 digits: 0F_r by hyper, G^{r,0} by meijerg, the u-integral by
+# quad over 40 equal panels of [0, 1]
+MPMATH_FAR = (
+    (2, 200.0, 200.0, 0.0079200958898113078979),
+    (2, 150.0, 230.0, 0.0010309727115733556279),
+    (3, 1000.0, 1000.0, 0.0012145902722610799924),
+)
+
+
+@pytest.mark.parametrize("r,x,y,ref", MPMATH_FAR)
+def test_far_points_inside_loss_budget(r, x, y, ref):
+    params = HardEdgeParams(r=r, nu=(0,) * r)
+    assert he.k_hard(params, x, y).value == pytest.approx(ref, rel=1e-9)
+
+
+def test_r2_at_1000_raises_or_matches_mpmath():
+    try:
+        value = he.k_hard(R2, 1000.0, 1000.0).value
+    except NonConvergent:
+        return
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+
+    def integrand(u):
+        return mp.hyper([], [1, 1], -u * 1000) * mp.meijerg([[], []], [[0, 0], [0]], u * 1000)
+
+    assert value == pytest.approx(float(mp.quad(integrand, mp.linspace(0, 1, 41))), rel=1e-8)
+
+
+def test_loss_budget_raises_in_grid():
+    # one pair past the budget fails the whole call, never a value
+    with pytest.raises(NonConvergent, match="estimated error"):
+        he.k_hard_grid(R2, [1.0, 500.0], [2.0])
+    assert he.k_hard_grid(R2, [1.0, 200.0], [2.0]).shape == (2, 1)
