@@ -54,7 +54,7 @@ def check_mp_recovery(tol_scale: float = 1.0) -> CheckResult:
     t0 = time.time()
     xs = np.linspace(0.1, 3.9, 50)
     exact = _marchenko_pastur(xs)
-    solver = np.array([fp.stieltjes_density(1, 0, float(x)) for x in xs])
+    solver = fp.stieltjes_density(1, 0, xs)
     detail = {
         "global_density": float(np.max(np.abs(fp.global_density(1, 0, xs) - exact))),
         "stieltjes_density": float(np.max(np.abs(solver - exact))),
@@ -76,7 +76,7 @@ def check_closed_forms(tol_scale: float = 1.0) -> CheckResult:
         grids[f"rs{r}{s}"] = (r, s, np.geomspace(0.05, 20.0, 12))
     detail = {}
     for name, (r, s, xs) in grids.items():
-        solver = np.array([fp.stieltjes_density(r, s, float(x)) for x in xs])
+        solver = fp.stieltjes_density(r, s, xs)
         detail[name] = float(np.max(np.abs(solver - fp.global_density(r, s, xs))))
     worst = max(detail.values())
     return CheckResult("02_closed_form_crosschecks", worst, 0.0, 1e-8, worst <= 1e-8, time.time() - t0, detail)

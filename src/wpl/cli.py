@@ -4,7 +4,7 @@ Subcommands: sample, density, moments, charpoly, kernel, hardedge, cauchy,
 bulk, acceptance.  Output is CSV (header row, shortest round-trip decimal
 payload, trailing commented metadata block) or JSON mirroring the same
 rows.  Exit codes: 0 ok, 1 check failure, 2 config error, 3 numerical
-failure.  WPL_THREADS caps the worker pool.
+failure or internal error.  WPL_THREADS caps the worker pool.
 """
 
 from __future__ import annotations
@@ -130,10 +130,8 @@ def cmd_density(args, cfg) -> int:
     lo, hi, n = _parse_x_grid(args.grid)
     xs = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
     closed = fp.global_density(args.r, args.s, xs)
-    rows = []
-    for x, c in zip(xs, closed):
-        solver = fp.stieltjes_density(args.r, args.s, float(x))
-        rows.append((float(x), float(c), solver, abs(solver - float(c))))
+    solver = fp.stieltjes_density(args.r, args.s, xs)
+    rows = [(float(x), float(c), v, abs(v - float(c))) for x, c, v in zip(xs, closed, solver)]
     meta = {"r": args.r, "s": args.s, "max_discrepancy": max(row[3] for row in rows)}
     write_table(args.out, ["x", "rho_closed", "rho_solver", "abs_diff"], rows, meta, args.format)
     return EXIT_OK
@@ -399,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except WplError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+    except Exception as exc:  # a bug, not bad input: report it without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
 

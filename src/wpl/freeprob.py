@@ -10,9 +10,11 @@ For every (r, s) the density on the real axis is the phi-parametrised
 root of that equation (`global_density`, vectorised; Raney densities in
 Forrester-Liu's terms).  `solve_stieltjes` follows the root off the axis by
 homotopy continuation, and `stieltjes_density` recovers the density from
-it by Stieltjes inversion: the independent cross-check route.  Moment
-identities (Fuss-Catalan and the r=s transformed moments) are done in exact
-integer/rational arithmetic.
+it by Stieltjes inversion: the independent cross-check route.  Both take a
+scalar or an array and track all its points together, one stacked
+companion-matrix eigvals call per homotopy step, with the same paths and
+digits as one point at a time.  Moment identities (Fuss-Catalan and the
+r=s transformed moments) are done in exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -53,11 +55,15 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class StieltjesValue:
-    """Point evaluation of the resolvent, with the functional-equation residual."""
+    """The resolvent at z, with the functional-equation residual.
 
-    z: complex
-    G: complex
-    residual: float
+    z, G and residual are scalars for a scalar z and arrays of its shape
+    otherwise.
+    """
+
+    z: complex | np.ndarray
+    G: complex | np.ndarray
+    residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,35 +87,87 @@ def s_transform(r: int, s: int, z: float) -> float:
     return (-z) ** s / (1.0 + z) ** r
 
 
-def _poly_coeffs(r: int, s: int, zeta: complex) -> np.ndarray:
-    """Coefficients (highest degree first) of (1-w)^{s+1} - zeta*w^{r+1}."""
+def _roots(r: int, s: int, zeta: np.ndarray) -> np.ndarray:
+    """Roots w of (1-w)^{s+1} - zeta*w^{r+1}, one row per zeta, as np.roots
+    finds them: eigenvalues of the companion matrices, one eigvals call for
+    the stack.
+
+    A vanishing leading coefficient (zeta = (-1)^{s+1} at r = s) drops a
+    root; that row goes to np.roots and its missing root is inf.
+    """
     deg = max(r, s) + 1
-    coeffs = np.zeros(deg + 1, dtype=complex)
+    p = np.zeros((len(zeta), deg + 1), dtype=complex)  # highest degree first
     for k in range(s + 2):
         # (1-w)^{s+1} = sum_k C(s+1,k) (-w)^k
-        coeffs[deg - k] += math.comb(s + 1, k) * (-1.0) ** k
-    coeffs[deg - (r + 1)] -= zeta
-    return coeffs
+        p[:, deg - k] += math.comb(s + 1, k) * (-1.0) ** k
+    p[:, deg - (r + 1)] -= zeta
+    lead = p[:, 0] != 0
+    comp = np.zeros((int(np.count_nonzero(lead)), deg, deg), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(deg - 1)
+    comp[:, 0, :] = -p[lead, 1:] / p[lead, :1]
+    roots = np.full((len(zeta), deg), np.inf, dtype=complex)
+    roots[lead] = np.linalg.eigvals(comp)
+    for k in np.flatnonzero(~lead):
+        found = np.roots(p[k])
+        roots[k, : len(found)] = found
+    return roots
 
 
-def _track_root(r: int, s: int, zeta_path: np.ndarray, w0: complex) -> complex:
-    """Follow the root of (1-w)^{s+1} = zeta w^{r+1} along zeta_path from w0."""
-    w = w0
-    i = 1
-    path = list(zeta_path)
-    guard = 0
-    while i < len(path):
-        zeta = path[i]
-        roots = np.roots(_poly_coeffs(r, s, zeta))
-        order = np.argsort(np.abs(roots - w))
-        nearest, second = roots[order[0]], roots[order[1]] if len(roots) > 1 else None
-        if second is not None and abs(second - w) < 2.0 * abs(nearest - w) and guard < 200:
-            # ambiguous tracking: refine the step
-            path.insert(i, 0.5 * (path[i - 1] + zeta))
-            guard += 1
-            continue
-        w = nearest
-        i += 1
+_REFINE_GUARD = 200  # midpoints a single solve may insert
+
+
+def _track_roots(r: int, s: int, paths: np.ndarray, length: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Follow the root of (1-w)^{s+1} = zeta w^{r+1} along each row of paths.
+
+    Row k is a zeta path of length[k] points; w[k] is the root (or its
+    limit) at the first one.
+    A step takes the root nearest the current one, unless the second
+    nearest is within twice that distance: then the midpoint of the step
+    goes on the point's stack of targets and is tried first (at most
+    _REFINE_GUARD times per point).  Every point steps at once, with one
+    eigvals call on the stacked companion matrices.
+
+    Halving drives the midpoints onto the zeta they approach, so a point
+    often steps to the zeta of its last step again; it reuses those roots.
+    """
+    n = len(w)
+    w = w.copy()
+    at = paths[:, 0].copy()  # the zeta at which w is the tracked root
+    nxt = np.ones(n, dtype=int)  # the next path point
+    stack = np.empty((n, 8), dtype=complex)  # inserted midpoints, top last
+    depth = np.zeros(n, dtype=int)
+    inserted = np.zeros(n, dtype=int)
+    solved_at = np.full(n, np.nan, dtype=complex)  # the zeta of each point's last step
+    known = np.empty((n, max(r, s) + 1), dtype=complex)  # and the roots there
+    live = np.flatnonzero(nxt < length)
+    while live.size:
+        top = depth[live] - 1
+        target = np.where(top >= 0, stack[live, top], paths[live, nxt[live]])
+        fresh = target != solved_at[live]
+        if fresh.any():
+            known[live[fresh]] = _roots(r, s, target[fresh])
+        solved_at[live] = target
+        roots = known[live]
+        order = np.argsort(np.abs(roots - w[live, None]), axis=1)
+        rows = np.arange(live.size)
+        nearest, second = roots[rows, order[:, 0]], roots[rows, order[:, 1]]
+        d1, d2 = nearest - w[live], second - w[live]
+        # hypot is the scalar abs; numpy's vectorised complex abs can differ by an ulp
+        split = (np.hypot(d2.real, d2.imag) < 2.0 * np.hypot(d1.real, d1.imag)) & (inserted[live] < _REFINE_GUARD)
+
+        k = live[split]
+        if k.size and depth[k].max() == stack.shape[1]:
+            stack = np.concatenate([stack, np.empty_like(stack)], axis=1)
+        stack[k, depth[k]] = 0.5 * (at[k] + target[split])
+        depth[k] += 1
+        inserted[k] += 1
+
+        k, step = live[~split], ~split
+        w[k], at[k] = nearest[step], target[step]
+        popped = depth[k] > 0
+        depth[k[popped]] -= 1
+        nxt[k[~popped]] += 1
+        live = np.flatnonzero(nxt < length)
     return w
 
 
@@ -123,74 +181,96 @@ def _newton_polish(r: int, s: int, zeta: complex, w: complex) -> complex:
     return w
 
 
-def solve_stieltjes(r: int, s: int, z: complex) -> StieltjesValue:
+_H_STEPS = 80  # the descent in Im z
+_TAUS = np.geomspace(1e-9, 1.0, 60)  # the ray zeta = tau * zeta_end, z < 0
+
+
+def solve_stieltjes(r: int, s: int, z) -> StieltjesValue:
     """Physical root of the functional equation at z (Im z > 0 or z < 0 real).
 
+    z may be a scalar or an array; all its points are tracked together.
     The root is selected by homotopy continuation from the |z| -> inf regime
     (where w -> 1) and checked against the Herglotz sign.
     """
-    z = complex(z)
-    if z.imag < 0:
+    za = np.asarray(z, dtype=complex)
+    zf = za.ravel()
+    if not np.all(np.isfinite(zf)):
+        raise DomainError("solve_stieltjes requires finite z")
+    if np.any(zf.imag < 0):
         raise DomainError("solve_stieltjes requires Im z >= 0")
-    if z.imag == 0 and z.real >= 0:
+    if np.any((zf.imag == 0) & (zf.real >= 0)):
         raise DomainError("on the positive real axis use global_density")
 
-    if z.imag > 0:
-        # descend z_h = Re z + i*h from high in the upper half plane; the
-        # corresponding zeta = -1/z_h keeps Im zeta > 0, clearing all (real)
-        # branch points of the root structure.
-        h_hi = 1e7 * max(1.0, abs(z))
-        n_steps = 80
-        hs = np.geomspace(h_hi, z.imag, n_steps)
-        zetas = -1.0 / (z.real + 1j * hs)
-        w0 = 1.0 + 0j
-        w = _track_root(r, s, zetas, w0)
-    else:
-        # z real negative: zeta = -1/z > 0; ray from 0+ to zeta.
-        zeta_end = -1.0 / z.real
-        taus = np.geomspace(1e-9, 1.0, 60)
-        zetas = taus * zeta_end
-        w0 = 1.0 - zetas[0] ** (1.0 / (s + 1))
-        w = complex(_track_root(r, s, zetas + 0j, complex(w0)))
+    # Im z > 0: descend z_h = Re z + i*h from high in the upper half plane;
+    # the corresponding zeta = -1/z_h keeps Im zeta > 0, clearing all (real)
+    # branch points of the root structure.  z real negative: zeta = -1/z > 0,
+    # a ray from 0+ to zeta.
+    upper = zf.imag > 0
+    paths = np.zeros((zf.size, max(_H_STEPS, len(_TAUS))), dtype=complex)
+    length = np.where(upper, _H_STEPS, len(_TAUS))
+    w0 = np.ones(zf.size, dtype=complex)
+    zu = zf[upper]
+    h_hi = 1e7 * np.maximum(1.0, np.hypot(zu.real, zu.imag))
+    hs = np.geomspace(h_hi, zu.imag, _H_STEPS, axis=1)
+    paths[upper, :_H_STEPS] = -1.0 / (zu.real[:, None] + 1j * hs)
+    zeta_end = -1.0 / zf.real[~upper]
+    paths[~upper, : len(_TAUS)] = _TAUS * zeta_end[:, None]
+    w0[~upper] = [1.0 - (_TAUS[0] * e) ** (1.0 / (s + 1)) for e in zeta_end]
+    w_track = _track_roots(r, s, paths, length, w0)
 
-    zeta = -1.0 / z
-    w = _newton_polish(r, s, zeta, w)
-    G = -w / z
-    if z.imag > 0 and G.imag <= -1e-13:
-        raise NoPhysicalRoot(f"Herglotz violation: Im G = {G.imag} at z = {z}")
-    residual = abs((1.0 - w) ** (s + 1) - zeta * w ** (r + 1))
-    return StieltjesValue(z=z, G=G, residual=residual)
+    G = np.empty(zf.size, dtype=complex)
+    residual = np.empty(zf.size)
+    for k, zk in enumerate(zf.tolist()):
+        # the polish stays scalar: it keeps the digits of the one-point route
+        w = w_track[k] if upper[k] else complex(w_track[k])
+        zeta = -1.0 / zk
+        w = _newton_polish(r, s, zeta, w)
+        G[k] = -w / zk
+        residual[k] = abs((1.0 - w) ** (s + 1) - zeta * w ** (r + 1))
+    bad = np.flatnonzero(upper & (G.imag <= -1e-13))
+    if bad.size:
+        k = bad[0]
+        raise NoPhysicalRoot(f"Herglotz violation: Im G = {G[k].imag} at z = {zf[k]}")
+    shape = za.shape
+    return StieltjesValue(z=za[()], G=G.reshape(shape)[()], residual=residual.reshape(shape)[()])
 
 
-def stieltjes_density(r: int, s: int, x: float) -> float:
+def stieltjes_density(r: int, s: int, x):
     """rho(x) by Stieltjes inversion, Richardson-extrapolated in epsilon.
 
-    Im G(x + i*eps)/pi at eps, eps/2, eps/4; the two-stage extrapolation
-    removes the O(eps) and O(eps^2) terms.  eps scales with x because the
-    density varies on scale x near the hard edge (x^{-r/(r+1)} behaviour).
-    This is the cross-check route for `global_density`.
+    x may be a scalar (a float is returned) or an array; one
+    `solve_stieltjes` call tracks all of its points.  Im G(x + i*eps)/pi at
+    eps, eps/2, eps/4; the two-stage extrapolation removes the O(eps) and
+    O(eps^2) terms.  eps scales with x because the density varies on scale
+    x near the hard edge (x^{-r/(r+1)} behaviour).  This is the cross-check
+    route for `global_density`.
 
     The two first-stage estimates a (eps, eps/2) and b (eps/2, eps/4) agree
     to 5e-10 of rho wherever the homotopy finds the physical root; beyond
     the envelope in the README (x ~ 3e3 and up when r > s >= 2) a wrong
     root makes them differ by the size of rho itself.  A disagreement above
     1e-6 rho plus a rounding floor of 1e-12/x (some 5e3 eps |G|, which
-    covers the noise off the support) raises NonConvergent.
+    covers the noise off the support) raises NonConvergent, and rho below
+    -1e-9 raises NoPhysicalRoot; the error names the first such x.
     """
-    if x <= 0:
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa > 0):
         raise DomainError("stieltjes_density requires x > 0")
-    eps = 1e-6 * x
-    f = [solve_stieltjes(r, s, complex(x, e)).G.imag / math.pi for e in (eps, eps / 2, eps / 4)]
+    eps = 1e-6 * xa
+    f = solve_stieltjes(r, s, xa + 1j * np.stack([eps, eps / 2, eps / 4])).G.imag / math.pi
     a = 2.0 * f[1] - f[0]
     b = 2.0 * f[2] - f[1]
     rho = (4.0 * b - a) / 3.0
-    if abs(a - b) > 1e-6 * abs(rho) + 1e-12 / x:
-        raise NonConvergent(f"Richardson estimates {a} and {b} disagree at x = {x}: wrong root")
-    if rho < 0:
-        if rho < -1e-9:
-            raise NoPhysicalRoot(f"negative density {rho} at x = {x}")
-        rho = 0.0
-    return rho
+    wrong = np.abs(a - b) > 1e-6 * np.abs(rho) + 1e-12 / xa
+    negative = rho < -1e-9
+    bad = np.flatnonzero(wrong | negative)
+    if bad.size:
+        k = np.unravel_index(bad[0], xa.shape)
+        if wrong[k]:
+            raise NonConvergent(f"Richardson estimates {a[k]} and {b[k]} disagree at x = {xa[k]}: wrong root")
+        raise NoPhysicalRoot(f"negative density {rho[k]} at x = {xa[k]}")
+    rho = np.where(rho < 0, 0.0, rho)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 # On the support zeta = -1/x < 0 and the physical root w forms a triangle

@@ -87,21 +87,41 @@ def _gr0_spec(params: HardEdgeParams) -> MeijerSpec:
     return MeijerSpec(m=params.r, n=0, p=0, q=params.r + 1, a=(), b=b)
 
 
-def _gr0_values(params: HardEdgeParams, w: np.ndarray, power: int = 0, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
-    """G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0), vectorized, with Δ^power."""
+def _gr0_deltas(params: HardEdgeParams, w, powers, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+    """Δ^j G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0) at points w > 0, one row per j in powers.
+
+    At r >= 2 the Mellin-Barnes line of the highest power J (its
+    integrand carries s^J) is contracted with the node x (power, point)
+    matrix s^{j-J} w^s.  At r = 1 Δ^0 is a Bessel function and Δ^j, j > 0,
+    the termwise series.
+    """
+    wv = np.asarray(w, dtype=float)
     if params.r == 1:
         nu1 = params.nu[0]
-        wv = np.asarray(w, dtype=float)
-        if power == 0:
-            return wv ** (0.5 * nu1) * bessel_j(float(nu1), 2.0 * np.sqrt(wv))
-        # Σ_k (-1)^k w^{nu1+k} / (k! Γ(nu1+k+1)) = w^{nu1} G^{1,0}(w), termwise
-        terms = _g10_terms(params, wv)
-        return wv**nu1 * ((nu1 + np.arange(len(terms))) ** power @ terms)
+        rows = []
+        for j in powers:
+            if j == 0:
+                rows.append(wv ** (0.5 * nu1) * bessel_j(float(nu1), 2.0 * np.sqrt(wv)))
+            else:
+                # Σ_k (-1)^k w^{nu1+k} / (k! Γ(nu1+k+1)) = w^{nu1} G^{1,0}(w), termwise
+                terms = _g10_terms(params, wv)
+                rows.append(wv**nu1 * ((nu1 + np.arange(len(terms))) ** j @ terms))
+        return np.array(rows)
     spec = _gr0_spec(params)
     contour = ContourSpec.auto(spec, tol=tol)
-    from .specfun import _meijer_eval  # vectorized core
+    log_w = np.log(wv).ravel()
+    top = max(powers)
+    line = meijer_line(spec, contour, float(np.max(np.abs(log_w))), power=top)
+    u = line.u
+    pw, lw = np.repeat(powers, log_w.size) - top, np.tile(log_w, len(powers))
+    log_scale = contour.abscissa * lw + pw * math.log(float(np.min(np.abs(u))))  # pw <= 0
+    vals = line.contract(lambda sl: u[:, None] ** pw[sl] * np.exp(np.outer(u, lw[sl])), log_scale, tol)[0]
+    return vals.reshape((len(powers),) + wv.shape)
 
-    return np.asarray(_meijer_eval(spec, contour, w, power))
+
+def _gr0_values(params: HardEdgeParams, w, power: int = 0, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+    """G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0), vectorized, with Δ^power."""
+    return _gr0_deltas(params, w, (power,), tol)[0]
 
 
 def _u_grid(x_max: float):
@@ -232,12 +252,11 @@ def k_hard_cd(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_
         raise CoincidentPoints("use the integral form near the diagonal")
     r = params.r
     xa = np.array([x])
-    ya = np.array([y])
+    g = _gr0_deltas(params, np.array([y]), range(r + 1), tol)[:, 0]
     total = 0.0
     for j in range(r + 1):
         fj = float(_g10_series(params, xa, power=j)[0])
-        gj = float(_gr0_values(params, ya, power=r - j, tol=tol)[0])
-        total += (-1.0) ** j * fj * gj
+        total += (-1.0) ** j * fj * float(g[r - j])
     value = (-1.0) ** (r + 1) * total / (x - y)
     return HardKernelEval(x=x, y=y, value=value, method="christoffel_darboux")
 

@@ -160,6 +160,19 @@ def test_kernel_overflowing_constant_is_numerical_failure():
     assert "Traceback" not in res.stderr
 
 
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    # a non-WplError escaping a subcommand exits 3 with a one-line message
+    def broken(args, cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_moments", broken)
+    code = cli.main(["moments", "--r", "2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL_FAILURE == 3
+    assert "internal error: ValueError: boom" in err
+    assert "Traceback" not in err
+
+
 def test_acceptance_list_and_single_check():
     res = run_cli(["acceptance", "--list"])
     assert res.returncode == 0

@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from wpl import freeprob as fp
-from wpl.errors import DomainError, NonConvergent, PoleAtMinusOne
+from wpl.errors import DomainError, NonConvergent, NoPhysicalRoot, PoleAtMinusOne
 from wpl.freeprob import EnsembleParams
 
 
@@ -234,6 +234,81 @@ def test_stieltjes_envelope_rule_quiet_inside(r, s):
         rho = fp.stieltjes_density(r, s, float(x))
         ref = float(fp.global_density(r, s, float(x)))
         assert abs(rho - ref) <= 1e-9 * max(ref, 1.0), (r, s, x)
+
+
+# grids for the batched route: log-spaced over [1e-9, 1e3], off the support
+# included, plus points on both sides of each soft edge
+BATCH_PAIRS = ((2, 0), (1, 0), (1, 1), (2, 2), (1, 2), (0, 1))
+
+
+def _batch_grid(r, s):
+    xs = list(np.geomspace(1e-9, 1e3, 13))
+    if s == 0:
+        xs += [(r + 1) ** (r + 1) / r**r * f for f in (0.9, 0.99, 1.01, 1.1)]
+    if r == 0:
+        xs += [s**s / (s + 1) ** (s + 1) * f for f in (0.5, 0.9, 1.1, 2.0)]
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("r,s", BATCH_PAIRS)
+def test_stieltjes_density_array_equals_scalar_calls(r, s, monkeypatch):
+    xs = _batch_grid(r, s)
+    steps = []
+    roots = fp._roots
+    monkeypatch.setattr(fp, "_roots", lambda *args: steps.append(len(args[2])) or roots(*args))
+    rho = fp.stieltjes_density(r, s, xs)
+    # 79 steps per z without refinement: at s >= 1 some points insert
+    # midpoints, while the s = 0 grids need none
+    assert (sum(steps) > 3 * len(xs) * 79) == (s > 0)
+    monkeypatch.undo()
+    assert rho.shape == xs.shape
+    assert np.array_equal(rho, [fp.stieltjes_density(r, s, float(x)) for x in xs])
+    assert np.any(rho == 0.0) == (r == 0 or s == 0)  # off the support
+
+
+def test_solve_stieltjes_scalar_and_array_shapes():
+    for z in (1.5 + 0.2j, -2.0):
+        sv = fp.solve_stieltjes(2, 1, z)
+        assert np.ndim(sv.z) == np.ndim(sv.G) == np.ndim(sv.residual) == 0
+    upper = np.geomspace(1e-3, 1e3, 6).reshape(2, 3) * (1.0 + 0.5j)
+    negative = -np.geomspace(1e-3, 1e3, 6).reshape(3, 2) + 0j
+    mixed = np.array([upper[0, 0], negative[0, 0], upper[1, 2]])
+    for r, s in ((2, 1), (1, 1), (0, 2)):
+        for zs in (upper, negative, mixed):
+            sv = fp.solve_stieltjes(r, s, zs)
+            assert sv.z.shape == sv.G.shape == sv.residual.shape == zs.shape
+            scalars = [fp.solve_stieltjes(r, s, complex(z)) for z in zs.ravel()]
+            assert np.array_equal(sv.G.ravel(), [v.G for v in scalars])
+            assert np.array_equal(sv.residual.ravel(), [v.residual for v in scalars])
+            assert np.all(sv.residual < 1e-12)
+    xs = np.geomspace(0.1, 10.0, 4).reshape(2, 2)
+    rho = fp.stieltjes_density(2, 1, xs)
+    assert rho.shape == (2, 2) and isinstance(fp.stieltjes_density(2, 1, 0.1), float)
+    assert np.array_equal(rho.ravel(), [fp.stieltjes_density(2, 1, float(x)) for x in xs.ravel()])
+    with pytest.raises(DomainError):
+        fp.solve_stieltjes(1, 0, np.array([-1.0, 2.0 + 0j]))
+    with pytest.raises(DomainError):
+        fp.solve_stieltjes(1, 0, np.array([1.0 + 1j, 1.0 - 1j]))
+    with pytest.raises(DomainError):
+        fp.solve_stieltjes(1, 0, np.array([1.0 + 1j, complex(math.nan, 1.0)]))
+
+
+def test_solve_stieltjes_vanishing_leading_coefficient():
+    # at r = s odd and z = -1 the ray ends at zeta = 1, where the polynomial
+    # loses its top degree; z G(-z) = 1 - 1/(1 + z^{1/(r+1)}) = 1/2
+    for r in (1, 3):
+        sv = fp.solve_stieltjes(r, r, np.array([-1.0, -0.5]))
+        assert sv.G[0] == pytest.approx(0.5, rel=1e-13)
+        assert sv.G[1] * 0.5 == pytest.approx(1.0 - 1.0 / (1.0 + 0.5 ** (1.0 / (r + 1))), rel=1e-12)
+
+
+def test_stieltjes_density_array_raises_beyond_envelope():
+    # one far-tail point (README envelope) among good ones fails the whole call
+    xs = np.array([0.5, 3.0, 88462.92182376178, 10.0])
+    with pytest.raises((NonConvergent, NoPhysicalRoot)):
+        fp.stieltjes_density(3, 2, xs)
+    with pytest.raises(DomainError):
+        fp.stieltjes_density(1, 1, np.array([1.0, 0.0]))
 
 
 def test_rr_transformed_is_arcsine():
