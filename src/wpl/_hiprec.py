@@ -4,10 +4,10 @@ The delta identity ∫ P_n Q_l = δ_{n,l} cancels polynomial lobe masses that
 reach ~1e7 at N = 6, so verifying it to 1e-8 absolute needs integrand
 values beyond double precision.  This module holds what numpy's extended
 (x86 80-bit) precision needs on top of the double-precision code: a
-Stirling-series complex log-gamma, Newton-refined Gauss-Legendre nodes and
-exact rational P-coefficients.  Q_l itself comes from
-finite_kernel.BiorthSystem, which works in the precision of the points it
-is given: gram_matrix hands it longdouble nodes.
+Stirling-series complex log-gamma and exact rational P-coefficients.  Q_l
+itself comes from finite_kernel.BiorthSystem, which works in the precision
+of the points it is given: gram_matrix hands it longdouble nodes, and its
+trapezoid lines take their nodes c + ikh in that precision at no cost.
 """
 
 from __future__ import annotations
@@ -72,19 +72,6 @@ def _lngamma_right(z: np.ndarray) -> np.ndarray:
 def lngamma(z) -> np.ndarray:
     """Principal-branch complex log-gamma in extended precision."""
     return reflected_ln_gamma(np.asarray(z, dtype=CLD), _lngamma_right)
-
-
-def leggauss_ld(order: int):
-    """Gauss-Legendre nodes/weights Newton-refined in longdouble."""
-    x = np.polynomial.legendre.leggauss(order)[0].astype(LD)
-    for step in range(4):
-        p0, p1 = np.ones_like(x), x.copy()
-        for k in range(2, order + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / LD(k)
-        dp = order * (x * p1 - p0) / (x * x - 1)
-        if step == 3:
-            return x, 2.0 / ((1.0 - x * x) * dp * dp)
-        x = x - p1 / dp
 
 
 def _p_coefficients(params: EnsembleParams, n: int) -> list[Fraction]:

@@ -25,15 +25,19 @@ from .errors import ContourCollision, DomainError, InternalImaginaryResidue, Non
 from .freeprob import EnsembleParams
 from .specfun import (
     ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, ln_gamma, ln_trapezoid, meijer_g, pfq,
+    trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
+# beyond x ~ 8 the shifted lines sit at the answer's own magnitude, while
+# the -1/2 line starts to lose digits to cancellation
+_X_DEEP = 8.0
 # circle nodes per block of kernel_n_contour's line x circle matrices, so their
 # memory grows like the line alone; 512-node blocks ran 2-3x slower
 _CIRCLE_BLOCK = 64
 # settling tolerance of the float64 ln-x trapezoid grid, on the trace
 # ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
-# where q_matrix leaves the -1/2 line, that line has lost up to 7.6e-8 of
+# where q_matrix leaves the -1/2 line, that line has lost up to 2.3e-9 of
 # Q_l to cancellation, and the trapezoid error of a jump falls only like h.
 _TRACE_TOL = 1e-9
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -105,30 +109,22 @@ def p_n(params: EnsembleParams, n: int, x):
     return sign * pref * series
 
 
-def _working_precision(dtype):
-    """The log-gamma and Gauss-Legendre rule that work in `dtype`."""
-    if dtype == np.longdouble:
-        return _hiprec.lngamma, _hiprec.leggauss_ld
-    return ln_gamma, np.polynomial.legendre.leggauss
-
-
 class BiorthSystem:
     """Precomputed contour data for the Q_l family and kernel sums.
 
     Q_l(x) = Re Σ_i coeff[l, i] x^{u_i} along a vertical line inside the
-    fundamental strip, with the 1/C_l normalization folded into the node
+    fundamental strip, with the 1/|C_l| normalization folded into the node
     coefficients.  The abscissa moves with the evaluation regime: -1/2 for
-    x up to ~8 (the convention used by all cross-checks), just right of
-    the first left pole at -(N + min mu + 1) for large x when s >= 1 (the
-    tail is algebraic and the integrand then sits at the answer's own
-    magnitude), and through the real saddle at -x^{1/r} for large x when
-    s = 0 (superexponential decay; no left poles obstruct the shift).
+    x <= 8 ("mid", the convention used by all cross-checks); beyond, just
+    right of the first left pole at -(N + min mu + 1) when s >= 1 ("deep":
+    the algebraic tail sits at the answer's own magnitude), and through the
+    real saddle at -x^{1/r} when s = 0 (one line per bucket of ln x).  Each
+    line is specfun.trapezoid_line, settled at probes spanning its x range.
 
     The working precision follows the points given to q_matrix: longdouble
     points are evaluated in extended precision (Stirling log-gamma,
-    Newton-refined nodes, tolerance scaled by the dtype's epsilon), which
-    the Gram matrix needs; any other points in float64.  Lines are built
-    once per (regime, dtype).
+    tolerance scaled by the dtype's epsilon), which the Gram matrix needs;
+    any other points in float64.  Lines are built once per (regime, dtype).
     """
 
     def __init__(self, params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT):
@@ -144,30 +140,22 @@ class BiorthSystem:
         # the float64 target, tightened by the working precision's extra digits
         return self.tol * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
 
-    def _geometry(self, regime, tol: float):
-        """Abscissa, half-height and per-panel order of a regime's line."""
+    def _geometry(self, regime):
+        """Abscissa and probe points of a regime's line."""
         p = self.params
-        kappa = 0.5 * math.pi * (p.r + p.s)
-        reach = (math.log(1.0 / tol) + 40.0) / kappa
-        if regime == "mid":
-            return _Q_ABSCISSA, max(12.0, reach), 96
-        if regime == "small":  # x below 1e-6: x^{it} oscillates fast along the line
-            return _Q_ABSCISSA, max(12.0, reach), 256
+        if regime == "mid":  # down to the origin cut's floor
+            return _Q_ABSCISSA, (1e-28, 1e-17, 1e-6, 1.0, _X_DEEP)
         if regime == "deep":  # s >= 1: half a unit right of the first left pole
-            c = -(p.N + min(p.mu) + 0.5)
-            return c, max(12.0, reach + 2.0 * abs(c)), 160
+            return -(p.N + min(p.mu) + 0.5), (_X_DEEP, 1e6, 1e18)
         # s = 0: through the saddle of the bucket whose ln x is `regime`
-        c = -max(0.5, math.exp(regime) ** (1.0 / p.r))
-        # phase rate per unit height: gamma args plus x^{it} oscillation
-        rate = (p.r + 1) * math.log(1.0 + abs(c)) + abs(regime)
-        return c, max(12.0, 1.3 * abs(c) + 30.0), max(32, int(1.5 * rate) + 24)
+        return -max(0.5, math.exp(regime) ** (1.0 / p.r)), tuple(math.exp(regime + d) for d in (-0.125, 0.0, 0.125))
 
     def _line(self, regime, dtype) -> MellinLine:
         """The line of a regime in a working precision, built on first use."""
         if (regime, dtype) in self._lines:
             return self._lines[(regime, dtype)]
         p = self.params
-        lg, leggauss = _working_precision(dtype)
+        lg = _hiprec.lngamma if dtype == np.longdouble else ln_gamma
 
         def log_gammas(u):  # ln Γ(-u) Π Γ(ν_j - u) Π Γ(1 + μ_p + N + u), ν_0 = 0
             out = lg(-u)
@@ -177,14 +165,14 @@ class BiorthSystem:
                 out = out + lg(1.0 + mu + p.N + u)
             return out
 
-        c, height, order = self._geometry(regime, self._tol(dtype))
-        t, w = gl_line(height, leggauss(order))
-        u = c + 1j * t
         ls = np.arange(p.N)
         # |C_l| is the gamma product at u = -(l+1)
         log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(log_gammas(-(ls + 1).astype(dtype)))
-        log_f = log_gammas(u)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
-        line = self._lines[(regime, dtype)] = MellinLine(u, w, log_f)
+
+        def log_f(u):
+            return log_gammas(u)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
+
+        line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), self._tol(dtype), dtype)
         return line
 
     def _eval_saddle_group(self, x: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
@@ -212,25 +200,15 @@ class BiorthSystem:
         x = np.asarray(x)
         x = x.astype(np.longdouble if x.dtype == np.longdouble else np.float64, copy=False)
         out = np.empty((self.params.N, len(x)), dtype=x.dtype)
-        # beyond x ~ 8 the shifted lines sit at the answer's own magnitude,
-        # while the -1/2 line starts to lose digits to cancellation
-        x_hi = 8.0
-        small = x < 1e-6
-        mid = (x <= x_hi) & ~small
-        high = x > x_hi
-        for regime, sel in (("small", small), ("mid", mid)):
-            if np.any(sel):
-                out[:, sel] = self._line(regime, x.dtype.type).eval(x[sel], self._tol(x.dtype))
+        high = x > _X_DEEP
+        if not np.all(high):
+            out[:, ~high] = self._line("mid", x.dtype.type).eval(x[~high], self._tol(x.dtype))
         if np.any(high):
             if self.params.s >= 1:
                 out[:, high] = self._line("deep", x.dtype.type).eval(x[high], self._tol(x.dtype))
             else:
                 self._eval_saddle_group(x[high], out, np.nonzero(high)[0])
         return out
-
-    def q_values(self, l: int, x: np.ndarray) -> np.ndarray:
-        """Q_l on an array of positive points."""
-        return self.q_matrix(x)[l]
 
     def p_matrix(self, x: np.ndarray) -> np.ndarray:
         """All P_n (rows n = 0..N-1) on an array of points."""
@@ -240,10 +218,6 @@ class BiorthSystem:
         """K_N(x_i, y_j) = Σ_l P_l(x_i) Q_l(y_j)."""
         return self.p_matrix(np.asarray(xs, float)).T @ self.q_matrix(np.asarray(ys, float))
 
-    def kernel_diag(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.einsum("li,li->i", self.p_matrix(xs), self.q_matrix(xs))
-
 
 @lru_cache(maxsize=32)
 def biorth_system(params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT) -> BiorthSystem:
@@ -251,13 +225,13 @@ def biorth_system(params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT) -> Bior
 
 
 def q_l(params: EnsembleParams, l: int, x):
-    """Biorthogonal partner function Q_l (Meijer G over the Re u = -1/2 line)."""
+    """Biorthogonal partner function Q_l: the Meijer G of q_l_meijer_spec over |C_l|."""
     if not 0 <= l <= params.N - 1:
         raise DomainError(f"l must lie in 0..N-1, got {l}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr <= 0):
         raise DomainError("q_l requires x > 0")
-    vals = biorth_system(params).q_values(l, x_arr)
+    vals = biorth_system(params).q_matrix(x_arr)[l]
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -496,11 +470,6 @@ def biorth_matrix(params: EnsembleParams) -> np.ndarray:
     is below ~1e-11.
     """
     return _biorth_gram(params).copy()
-
-
-def biorth_inner(params: EnsembleParams, n: int, l: int) -> float:
-    """∫_0^∞ P_n(x) Q_l(x) dx: one entry of the cached biorth_matrix."""
-    return float(biorth_matrix(params)[n, l])
 
 
 def kernel_trace(params: EnsembleParams) -> float:

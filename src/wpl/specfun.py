@@ -344,42 +344,52 @@ def gl_panels(rule, edges):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
-# most nodes ln_trapezoid may use; the finite-N grids settle within 1000
-_LN_TRAPEZOID_BUDGET = 20_000
+# most nodes a halving trapezoid rule may use; the finite-N grids settle
+# within 1000, the Q lines within 4000
+_TRAPEZOID_BUDGET = 20_000
+
+
+def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dtype=np.float64, rel: float = 0.0):
+    """Trapezoid rule at nodes node(t0 + kh) in [t0, t0 + steps], weights h jac(node).
+
+    Geometric in 1/h for integrands analytic in a strip that decay at both
+    ends.  h halves from 1 until every component of I_h - I_{h/2} is within
+    max(tol, rel × its unsigned mass); a level samples only its midpoints.
+    sample(nodes) gives the values kept (last axis over nodes), and
+    settle(nodes, samples) the integrands, node by node.  Returns the final
+    nodes, weights and samples.  An integrand that is not finite raises
+    NonConvergent at once, naming its node; so does a grid past the budget.
+    """
+    def level(t, h):
+        nodes = node(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = sample(nodes)
+            f = settle(nodes, samples)
+        bad = ~np.isfinite(f)
+        if np.any(bad):
+            raise NonConvergent(f"trapezoid integrand is not finite at {nodes[np.nonzero(bad)[-1][0]]}")
+        w = h * jac(nodes)
+        return nodes, samples, f @ w, np.abs(f) @ w
+
+    h = dtype(1)
+    nodes, samples, cur, mass = level(t0 + h * np.arange(steps + 1, dtype=dtype), h)
+    while True:
+        if 2 * len(nodes) - 1 > _TRAPEZOID_BUDGET:
+            raise NonConvergent(f"trapezoid rule unsettled at {len(nodes)} nodes (h = {float(h):g})")
+        h = h / 2
+        mids, new, part, part_mass = level(t0 + h * np.arange(1, 2 * len(nodes) - 1, 2, dtype=dtype), h)
+        prev, cur, mass = cur, cur / 2 + part, mass / 2 + part_mass
+        nodes = np.insert(nodes, np.arange(1, len(nodes)), mids)
+        samples = np.insert(samples, np.arange(1, samples.shape[-1]), new, axis=-1)
+        if np.all(np.abs(cur - prev) <= np.maximum(tol, rel * mass)):
+            return nodes, h * jac(nodes), samples
 
 
 def ln_trapezoid(sample, settle, lo: float, hi: float, tol: float, dtype=np.float64):
-    """Self-checking trapezoid rule in t = ln x for ∫_0^∞ dx over [lo, hi].
-
-    The nodes are x_k = lo e^{kh} for k = 0, 1, ... until x_k >= hi, with
-    weights h x_k; for an integrand analytic in a strip about the t axis
-    that decays at both ends the rule converges geometrically in 1/h.  The
-    step starts at h = 1 and halves until every component of
-    I_h - I_{h/2} is below tol in modulus; the h/2 grid holds every node of
-    the h grid, so each level samples only its new midpoints.
-
-    sample(x) returns the values kept at the nodes, an array whose last axis
-    runs over x; settle(samples) maps them to the integrands whose integrals
-    must settle.  Returns the final nodes, weights and samples, in `dtype`.
-    A grid past _LN_TRAPEZOID_BUDGET nodes raises NonConvergent.
-    """
-    t0, h = np.log(dtype(lo)), dtype(1)
-    nodes = np.exp(t0 + h * np.arange(int(math.ceil(math.log(hi / lo))) + 1, dtype=dtype))
-    samples = sample(nodes)
-    prev = settle(samples) @ (h * nodes)
-    while True:
-        if 2 * len(nodes) - 1 > _LN_TRAPEZOID_BUDGET:
-            raise NonConvergent(f"ln-x trapezoid rule unsettled at {len(nodes)} nodes (h = {float(h):g})")
-        h = h / 2
-        mids = np.exp(t0 + h * np.arange(1, 2 * len(nodes) - 1, 2, dtype=dtype))
-        new = sample(mids)
-        nodes = np.insert(nodes, np.arange(1, len(nodes)), mids)
-        samples = np.insert(samples, np.arange(1, samples.shape[-1]), new, axis=-1)
-        weights = h * nodes
-        cur = settle(samples) @ weights
-        if np.max(np.abs(cur - prev)) < tol:
-            return nodes, weights, samples
-        prev = cur
+    """halving_trapezoid in t = ln x over [lo, hi]: nodes x_k = lo e^{kh} until
+    x_k >= hi, weights h x_k, every component of settle(sample(x)) within tol."""
+    return halving_trapezoid(sample, lambda x, samples: settle(samples), np.exp, lambda x: x, np.log(dtype(lo)),
+                             int(math.ceil(math.log(hi / lo))), tol, dtype)
 
 
 def gl_line(height, rule):
@@ -475,6 +485,39 @@ class MellinLine:
         if imax > allowed:
             raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard {allowed}")
         return out
+
+
+# a Q line's rounding floor in units of eps × unsigned mass: where its sum
+# stops moving between levels, and where its integrand is cut off
+_LINE_ROUNDING = 1e3
+
+
+def trapezoid_line(log_f, c: float, probes, tol: float, dtype=np.float64) -> MellinLine:
+    """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid.
+
+    The half-height grows from 12 by half until each row's |F_l| at the ends
+    is within rel = _LINE_ROUNDING eps of its peak (larger ends add a share
+    that falls only like h).  Nodes c + ikh, weights h; every row's sum must
+    settle at every probe x_p, which must span the points the line serves.
+    """
+    rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
+    m = 12
+    while True:  # |F_l| is even in t
+        re_f = np.real(np.atleast_2d(log_f(c + 1j * np.arange(m + 1, dtype=dtype))))
+        if np.all(re_f[:, -1] - np.max(re_f, axis=1) <= math.log(rel)):
+            break
+        m += m // 2
+        if 2 * m + 1 > _TRAPEZOID_BUDGET:
+            raise NonConvergent(f"line integrand has not decayed at height {m}")
+    log_x = np.log(np.asarray(probes, dtype=dtype))
+    two_pi = 2 * pi_in(dtype)
+
+    def probe_sums(u, lf):  # F_l(u) x_p^u / 2π, rows (l, p)
+        return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / two_pi
+
+    u, w, lf = halving_trapezoid(lambda u: np.atleast_2d(log_f(u)), probe_sums, lambda t: c + 1j * t,
+                                 lambda u: np.ones(len(u), dtype), -dtype(m), 2 * m, tol, dtype, rel)
+    return MellinLine(u, w, lf)
 
 
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:

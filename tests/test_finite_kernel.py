@@ -177,6 +177,28 @@ def test_q_l_residue_summation_oracle():
         assert mine == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("params", [EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,)),
+                                    EnsembleParams(N=6, r=2, s=0, nu=(0, 1))], ids=["r2s1", "r2s0"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_q_l_below_1e6_matches_mpmath(params, dtype):
+    # the -1/2 line below x = 1e-6, against mpmath's G of q_l_meijer_spec
+    # over |C_l| (the line carries no sign of C_l); the line's unsigned mass
+    # grows like x^{-1/2}, and so does the bound
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    xs = (1e-12, 1e-9, 1e-7, 5e-7)
+    q = fk.biorth_system(params).q_matrix(np.array(xs, dtype=dtype))
+    scale = 5e-10 if dtype == np.float64 else 5e-13
+    for l in range(params.N):
+        spec = fk.q_l_meijer_spec(params, l)
+        abs_c = math.prod(math.factorial(k) for k in (l, *(v + l for v in params.nu),
+                                                         *(m + params.N - l - 1 for m in params.mu)))
+        for j, x in enumerate(xs):
+            g = mpmath.meijerg([spec.a[: spec.n], spec.a[spec.n:]], [spec.b[: spec.m], spec.b[spec.m:]], x)
+            ref = dtype(mpmath.nstr(g / abs_c, 25))
+            assert abs(q[l, j] - ref) <= scale * math.sqrt(1e-12 / x) * abs(ref), (l, x)
+
+
 # --- kernel ----------------------------------------------------------------
 
 
@@ -237,6 +259,14 @@ def test_kernel_asymmetry_and_det_symmetry():
 def test_trace_equals_N():
     p = EnsembleParams(N=4, r=2, s=1, nu=(0, 0), mu=(0,))
     assert fk.kernel_trace(p) == pytest.approx(4.0, abs=1e-6)
+
+
+def test_trace_non_finite_raises():
+    # above the support cut P_19 overflows to inf while Q underflows to 0:
+    # the grid raises at its first level instead of halving to its budget
+    p = EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,))
+    with pytest.raises(NonConvergent, match="not finite"):
+        fk.kernel_trace(p)
 
 
 def test_reproducing_property():

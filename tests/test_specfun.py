@@ -350,7 +350,42 @@ def test_ln_trapezoid_jump_raises_at_budget():
 
     with pytest.raises(NonConvergent):
         sf.ln_trapezoid(sample, _identity, 1e-3, 50.0, 1e-10)
-    assert sum(calls) <= sf._LN_TRAPEZOID_BUDGET
+    assert sum(calls) <= sf._TRAPEZOID_BUDGET
+
+
+def test_trapezoid_non_finite_sample_raises_at_once():
+    # an integrand that is inf at one node can never settle: the rule names
+    # the node rather than halving to the budget
+    calls = []
+
+    def sample(x):
+        calls.append(len(x))
+        return np.where(np.isclose(x, math.e ** 2 * 1e-3), np.inf, np.exp(-x))
+
+    with pytest.raises(NonConvergent, match="not finite at 0.00738"):
+        sf.ln_trapezoid(sample, _identity, 1e-3, 50.0, 1e-10)
+    assert len(calls) == 1
+
+
+# --- trapezoid Mellin-Barnes lines -----------------------------------------
+
+
+def test_trapezoid_line_settles_on_exp():
+    # G^{1,0}_{0,1}(x | 0) = e^{-x} on Re s = -1/2, settled at its probes
+    spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
+    probes = (1e-3, 1.0, 8.0)
+    line = sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, probes, 1e-13)
+    assert np.allclose(np.diff(line.u.imag), line.w[0])  # one step h, weights h
+    x = np.concatenate([probes, np.geomspace(1e-3, 8.0, 23)[1:-1]])
+    assert np.max(np.abs(line.eval(x, 1e-13)[0] - np.exp(-x))) <= 1e-12
+
+
+def test_trapezoid_line_near_pole_raises():
+    # a right pole 1e-3 from the contour: the rule converges like
+    # e^{-2π 1e-3 / h}, so the halving must stop at the node budget
+    spec = sf.MeijerSpec(1, 0, 0, 1, (), (-0.499,))
+    with pytest.raises(NonConvergent, match="unsettled"):
+        sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, (0.5, 1.0, 2.0), 1e-12)
 
 
 # --- bessel_j ------------------------------------------------------------
