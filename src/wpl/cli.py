@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -71,6 +72,8 @@ def _parse_grid(spec: str):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ConfigError(f"grid must be lo:hi:count, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid ends must be finite, got {spec!r}")
     if n < 2 or not hi > lo:
         raise ConfigError("grid needs count >= 2 and hi > lo")
     return lo, hi, n
@@ -95,9 +98,20 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        vals = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated reals, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"expected finite reals, got {text!r}")
+    return vals
+
+
+def _parse_x_values(text: str) -> tuple[float, ...]:
+    """Eigenvalue positions x, which must all be positive."""
+    vals = _parse_floats(text)
+    if not all(v > 0 for v in vals):
+        raise ConfigError(f"x values need to be > 0, got {text!r}")
+    return vals
 
 
 def _ensemble_from_args(args) -> EnsembleParams:
@@ -176,8 +190,8 @@ def cmd_charpoly(args, cfg) -> int:
 
 def cmd_kernel(args, cfg) -> int:
     params = _ensemble_from_args(args)
-    xs = _parse_floats(args.x)
-    ys = _parse_floats(args.y)
+    xs = _parse_x_values(args.x)
+    ys = _parse_x_values(args.y)
     rows = []
     for x in xs:
         for y in ys:
@@ -209,8 +223,8 @@ def cmd_hardedge(args, cfg) -> int:
         else:
             rows = [(float(x), float(x), float(k), "integral") for x, k in zip(xs, ks)]
     else:
-        xs = _parse_floats(args.x)
-        ys = _parse_floats(args.y)
+        xs = _parse_x_values(args.x)
+        ys = _parse_x_values(args.y)
         if args.method in ("integral", "both"):
             grid = he.k_hard_grid(params, xs, ys, tol=cfg.quad.tol)
         for i, x in enumerate(xs):

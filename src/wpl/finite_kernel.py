@@ -244,6 +244,8 @@ def q_l_meijer_spec(params: EnsembleParams, l: int) -> MeijerSpec:
 
 def kernel_n(params: EnsembleParams, x: float, y: float) -> KernelEval:
     """Correlation kernel by the biorthogonal sum Σ_{l<N} P_l(x) Q_l(y)."""
+    if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+        raise DomainError("kernel_n requires finite x, y > 0")
     sys = biorth_system(params)
     val = float(sys.kernel_matrix(np.array([x]), np.array([y]))[0, 0])
     return KernelEval(x=x, y=y, value=val, method="biorth_sum")
@@ -262,8 +264,8 @@ def kernel_n_contour(
     Re t = -1/2 so that u - t never vanishes.
     """
     N, r, s = params.N, params.r, params.s
-    if x <= 0 or y <= 0:
-        raise DomainError("kernel_n_contour requires x, y > 0")
+    if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+        raise DomainError("kernel_n_contour requires finite x, y > 0")
 
     kappa = 0.5 * math.pi * (r + s + 1)
     height = max(12.0, (math.log(1.0 / tol) + 40.0 + (N + 1) * math.log(N + 2.0)) / kappa)

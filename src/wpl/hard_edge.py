@@ -246,8 +246,8 @@ def k_hard_cd(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_
     f = G^{1,0}, g = G^{r,0}, Δ = x d/dx."""
     if any(v != 0 for v in params.nu):
         raise DomainError("Christoffel-Darboux form implemented for all nu = 0 only")
-    if x <= 0 or y <= 0:
-        raise DomainError("k_hard_cd requires x, y > 0")
+    if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
+        raise DomainError("k_hard_cd requires finite x, y > 0")
     if abs(x - y) < 1e-8 * max(x, y):
         raise CoincidentPoints("use the integral form near the diagonal")
     r = params.r

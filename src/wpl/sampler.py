@@ -1,8 +1,9 @@
 """Monte Carlo engine for the product ensemble.
 
-Draws the Gaussian factor chains, forms X = G_r...G_1 (Gt_s...Gt_1)^{-1},
-extracts eigenvalues of X†X, estimates densities and moments, and provides
-the determinant oracle for the generalized characteristic polynomial.
+Draws X = G_r...G_1 (Gt_s...Gt_1)^{-1} as chains of triangular factors,
+takes the eigenvalues of X†X as squared singular values, estimates
+densities and moments, and provides the determinant oracle for the
+generalized characteristic polynomial.
 
 Randomness is counter-based (Philox) and keyed by (seed, stream_id): the
 same key reproduces bit-identical draws on any platform, and distinct
@@ -27,7 +28,6 @@ from .freeprob import EnsembleParams
 from .specfun import gl_panels
 
 _CHUNK = 1024
-_COND_SWITCH = 1e12
 _RESAMPLE_CAP = 10
 
 
@@ -73,99 +73,55 @@ def _ginibre(gen: np.random.Generator, *shape: int) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def _haar_unitary(gen: np.random.Generator, batch: int, n: int) -> np.ndarray:
-    g = _ginibre(gen, batch, n, n)
-    q, r = np.linalg.qr(g)
-    d = np.einsum("...ii->...i", r)
-    phase = d / np.abs(d)
-    return q * phase[:, None, :]
-
-
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mats)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def _induced_square_batch(gen: np.random.Generator, batch: int, n: int, N: int) -> np.ndarray:
-    """batch of N x N draws with density ∝ (det M†M)^{n-N} e^{-Tr M†M}."""
-    h = _ginibre(gen, batch, n, N)
-    s = np.conj(np.swapaxes(h, -1, -2)) @ h
-    root = _psd_sqrt(s)
-    u = _haar_unitary(gen, batch, N)
-    return root @ u
+def _triangular_factor(gen: np.random.Generator, batch: int, n: int, N: int) -> np.ndarray:
+    """batch of N x N upper-triangular R factors of n x N Ginibre draws.
+
+    Bartlett: |R_ii|^2 ~ Gamma(n - i) for i = 0..N-1, entries above the
+    diagonal CN(0, 1).  The N x N induced square with density
+    ∝ (det M†M)^{n-N} e^{-Tr M†M} has the same R law.
+    """
+    R = np.triu(_ginibre(gen, batch, N, N), 1)
+    i = np.arange(N)
+    R[:, i, i] = np.sqrt(gen.standard_gamma(n - i, size=(batch, N)))
+    return R
 
 
-def _draw_inverse_chain(gen: np.random.Generator, params: EnsembleParams) -> np.ndarray | None:
-    """Product Gt_s ... Gt_1 of square induced factors, or None for s = 0."""
-    if params.s == 0:
-        return None
-    B = None
-    for mu in params.mu:
-        g = _induced_square_batch(gen, 1, params.N + mu, params.N)[0]
-        B = g if B is None else g @ B
-    return B
+def _chains(gen: np.random.Generator, params: EnsembleParams, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """R_A = R_r...R_1 and R_B = R'_s...R'_1 (the identity at s = 0).
+
+    One draw of A = G_r...G_1 is Q_A R_A, since G_{k+1} Q_k is again
+    Ginibre by unitary invariance, and likewise B = Q_B R_B.  So
+    A†A = R_A†R_A, B†B = R_B†R_B, and X = A B^{-1} has the singular values
+    of R_A R_B^{-1}.
+    """
+    eye = np.broadcast_to(np.eye(params.N, dtype=complex), (batch, params.N, params.N))
+    chains = []
+    for exponents in (params.nu, params.mu):
+        R = eye
+        for e in exponents:
+            F = _triangular_factor(gen, batch, params.N + e, params.N)
+            R = F if R is eye else F @ R
+        chains.append(R)
+    return chains[0], chains[1]
 
 
-def _draw_direct_chain(gen: np.random.Generator, params: EnsembleParams) -> np.ndarray:
-    """Rectangular chain G_r ... G_1 with G_k of shape (N + nu_k) x n_{k-1}."""
-    A = np.eye(params.N, dtype=complex)
-    dim = params.N
-    for nu in params.nu:
-        g = _ginibre(gen, params.N + nu, dim)
-        A = g @ A
-        dim = params.N + nu
-    return A
-
-
-def sample_product_spectrum(
-    params: EnsembleParams,
-    rng: RngStream,
-    square_induced: bool = False,
-    direct_order: tuple[int, ...] | None = None,
-) -> SpectrumSample:
+def sample_product_spectrum(params: EnsembleParams, rng: RngStream) -> SpectrumSample:
     """Eigenvalues of X†X for one draw of the factor chain (raw scaling).
 
-    Direct factors are rectangular (N+nu_j) x (previous dim) Ginibre draws
-    unless square_induced is set, in which case they are N x N induced
-    draws (same eigenvalue law).  Inverse factors are always square induced
-    draws with exponents mu_l.  direct_order permutes the order in which
-    the square direct factors are multiplied (only with square_induced).
+    They are the squared singular values of T = R_A R_B^{-1}, from one
+    triangular solve and an SVD of T, never from T†T, whose condition
+    number is the square of T's.
     """
-    gen = rng.generator()
-    if direct_order is not None and not square_induced:
-        raise DomainError("direct_order requires square_induced=True")
-    for attempt in range(_RESAMPLE_CAP):
-        if square_induced:
-            factors = [
-                _induced_square_batch(gen, 1, params.N + nu, params.N)[0] for nu in params.nu
-            ]
-            order = direct_order if direct_order is not None else tuple(range(params.r))
-            A = np.eye(params.N, dtype=complex)
-            for idx in order:
-                A = factors[idx] @ A
-        else:
-            A = _draw_direct_chain(gen, params)
-        B = _draw_inverse_chain(gen, params)
-        try:
-            eig = _chain_eigenvalues(A, B)
-        except np.linalg.LinAlgError:
-            continue
-        eig = np.sort(np.clip(eig, 0.0, None))
-        return SpectrumSample(params=params, eigenvalues=eig, scaling=Scaling.RAW)
-    raise NumericalSingularity(f"factor chain singular {_RESAMPLE_CAP} times in a row")
-
-
-def _chain_eigenvalues(A: np.ndarray, B: np.ndarray | None) -> np.ndarray:
-    AhA = np.conj(A.T) @ A
-    if B is None:
-        return np.linalg.eigvalsh(AhA)
-    if np.linalg.cond(B) > _COND_SWITCH:
-        # generalized Hermitian-definite path A†A v = x B†B v
-        BhB = np.conj(B.T) @ B
-        return scipy.linalg.eigh(AhA, BhB, eigvals_only=True)
-    X = A @ np.linalg.inv(B)
-    return np.linalg.eigvalsh(np.conj(X.T) @ X)
+    R_A, R_B = (R[0] for R in _chains(rng.generator(), params, 1))
+    T = R_A if params.s == 0 else scipy.linalg.solve_triangular(R_B, R_A.conj().T, trans="C")
+    eig = np.sort(np.linalg.svd(T, compute_uv=False) ** 2)
+    return SpectrumSample(params=params, eigenvalues=eig, scaling=Scaling.RAW)
 
 
 def rescale(sample: SpectrumSample, target: Scaling) -> SpectrumSample:
@@ -210,16 +166,9 @@ def sample_spectra(
 
 
 def _charpoly_chunk(params: EnsembleParams, lam: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
-    gen = rng.generator()
-    N = params.N
-    A = np.broadcast_to(np.eye(N, dtype=complex), (size, N, N)).copy()
-    for nu in params.nu:
-        A = _induced_square_batch(gen, size, N + nu, N) @ A
-    B = np.broadcast_to(np.eye(N, dtype=complex), (size, N, N)).copy()
-    for mu in params.mu:
-        B = _induced_square_batch(gen, size, N + mu, N) @ B
-    AhA = np.conj(np.swapaxes(A, -1, -2)) @ A
-    BhB = np.conj(np.swapaxes(B, -1, -2)) @ B
+    R_A, R_B = _chains(rng.generator(), params, size)
+    AhA = np.conj(np.swapaxes(R_A, -1, -2)) @ R_A
+    BhB = np.conj(np.swapaxes(R_B, -1, -2)) @ R_B
     out = np.empty((len(lam), size))
     for i, lv in enumerate(lam):
         out[i] = np.linalg.det(lv * BhB - AhA).real
@@ -235,8 +184,8 @@ def mc_charpoly(
 ):
     """Monte Carlo mean and standard error of det(lam B†B - A†A).
 
-    All factors are drawn from the induced square measures.  `lam` may be a
-    scalar or a vector (shared draws, per-lambda statistics).
+    A†A = R_A†R_A and B†B = R_B†R_B come from the triangular factor chains.
+    `lam` may be a scalar or a vector (shared draws, per-lambda statistics).
     """
     if samples < 100:
         raise DomainError("mc_charpoly requires at least 100 samples")

@@ -138,6 +138,24 @@ def test_nonpositive_x_grid_is_config_error(args):
     assert "x grid needs lo > 0" in res.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (["kernel", "--N", "4", "--x", "nan", "--y", "1", "--method", "sum"], "finite"),
+    (["kernel", "--N", "4", "--x", "inf", "--y", "1", "--method", "sum"], "finite"),
+    (["kernel", "--N", "4", "--x", "-1", "--y", "1", "--method", "sum"], "> 0"),
+    (["charpoly", "--N", "3", "--lam", "nan"], "finite"),
+    (["hardedge", "--r", "2", "--x", "nan", "--y", "1"], "finite"),
+    (["hardedge", "--r", "2", "--x", "1", "--y", "nan", "--method", "cd"], "finite"),
+    (["density", "--r", "1", "--s", "0", "--grid", "1:inf:3"], "finite"),
+], ids=["kernel-nan", "kernel-inf", "kernel-negative", "charpoly-nan", "hardedge-nan", "hardedge-cd-nan",
+        "density-inf"])
+def test_nonfinite_or_nonpositive_input_is_config_error(args, message):
+    # these printed nan (or a value at x < 0) and exited 0, or exited 3
+    res = run_cli(args)
+    assert res.returncode == cli.EXIT_CONFIG_ERROR
+    assert message in res.stderr
+    assert res.stdout == ""
+
+
 def test_bulk_default_grid_starts_at_zero():
     # bulk's grid is in t = y - x, where the default 0:2:9 starts at t = 0
     res = run_cli(["bulk", "--r", "1"])

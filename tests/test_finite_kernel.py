@@ -224,6 +224,17 @@ def test_kernel_biorth_vs_contour():
     assert b.value == pytest.approx(a.value, rel=1e-8)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0, 0.0))
+def test_kernel_rejects_nonfinite_or_nonpositive_points(bad):
+    # the sum used to return NaN for NaN and a value for x < 0, and the
+    # contour route raised NonConvergent for NaN
+    for kernel in (fk.kernel_n, fk.kernel_n_contour):
+        with pytest.raises(DomainError):
+            kernel(LAGUERRE, bad, 1.0)
+        with pytest.raises(DomainError):
+            kernel(LAGUERRE, 1.0, bad)
+
+
 def test_kernel_contour_overflow_raises():
     # at N = 120 the outer line's gamma factors overflow double precision;
     # the value used to come back as NaN

@@ -96,6 +96,17 @@ def test_cd_near_diagonal_continuity():
         he.k_hard_cd(HardEdgeParams(r=2, nu=(0, 1)), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, 0.0))
+def test_cd_rejects_nonfinite_points(bad):
+    # NaN and inf used to make the series' stop test never hold, so the
+    # call never returned
+    for params in (R1, R2):
+        with pytest.raises(DomainError):
+            he.k_hard_cd(params, bad, 1.0)
+        with pytest.raises(DomainError):
+            he.k_hard_cd(params, 1.0, bad)
+
+
 def test_positivity_and_repulsion():
     xs = np.linspace(0.2, 8.0, 12)
     diag = he.k_hard_diag(R2, xs)

@@ -31,21 +31,22 @@ def test_ginibre_determinism_and_stream_independence():
 
 
 def test_induced_square_matches_plain_at_n_equals_N():
-    # exponent 0: singular values must match plain Ginibre singular values
+    # the triangular factor of an N x N draw (exponent 0) has the singular
+    # values of a plain N x N Ginibre matrix
     N, draws = 8, 1500
     gen = RngStream(21).generator()
-    induced = sp._induced_square_batch(gen, draws, N, N)
+    tri = sp._triangular_factor(gen, draws, N, N)
     plain = sp._ginibre(RngStream(22).generator(), draws, N, N)
-    s_ind = np.linalg.svd(induced, compute_uv=False)[:, 0]
+    s_tri = np.linalg.svd(tri, compute_uv=False)[:, 0]
     s_pln = np.linalg.svd(plain, compute_uv=False)[:, 0]
-    assert scipy.stats.ks_2samp(s_ind, s_pln).pvalue > 0.01
+    assert scipy.stats.ks_2samp(s_tri, s_pln).pvalue > 0.01
 
 
 def test_induced_square_trace_mean():
-    # E Tr M†M = E Tr H†H = n N
+    # E Tr R†R = E Tr H†H = n N; an off-by-one in the Gamma shapes moves it by N
     n, N, draws = 6, 4, 60_000
     gen = RngStream(31).generator()
-    m = sp._induced_square_batch(gen, draws, n, N)
+    m = sp._triangular_factor(gen, draws, n, N)
     traces = np.einsum("bij,bij->b", m, np.conj(m)).real
     mean = traces.mean()
     sigma = traces.std(ddof=1) / math.sqrt(draws)
@@ -53,10 +54,10 @@ def test_induced_square_trace_mean():
 
 
 def test_induced_square_scalar_is_gamma():
-    # N=1: |m|^2 ~ Gamma(n, 1)
+    # N=1: |R|^2 ~ Gamma(n, 1)
     n, draws = 5, 100_000
     gen = RngStream(41).generator()
-    m = sp._induced_square_batch(gen, draws, n, 1)
+    m = sp._triangular_factor(gen, draws, n, 1)
     vals = np.abs(m[:, 0, 0]) ** 2
     ecdf = sp.empirical_cdf(vals)
     ks = sp.sup_distance(ecdf, lambda t: scipy.special.gammainc(n, np.asarray(t)))
@@ -77,6 +78,36 @@ def test_product_spectrum_determinism():
     a = sp.sample_product_spectrum(params, RngStream(9, 1))
     b = sp.sample_product_spectrum(params, RngStream(9, 1))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("r, s", ((10, 0), (4, 2)))
+def test_product_spectrum_extremes_match_mpmath(r, s, seed):
+    # rebuild the draw's triangular factors from the same stream, multiply
+    # them and invert the inverse chain at 40 digits, and compare the
+    # smallest and largest eigenvalue (their ratio is 1e-22 at r = 10)
+    mpmath = pytest.importorskip("mpmath")
+    params = EnsembleParams(N=30, r=r, s=s, nu=(0,) * r, mu=(0,) * s)
+    eig = sp.sample_product_spectrum(params, RngStream(seed)).eigenvalues
+    gen = RngStream(seed).generator()
+    with mpmath.workdps(40):
+        chains = []
+        for exponents in (params.nu, params.mu):
+            R = mpmath.eye(params.N)
+            for e in exponents:
+                R = mpmath.matrix(sp._triangular_factor(gen, 1, params.N + e, params.N)[0].tolist()) * R
+            chains.append(R)
+        T = chains[0] * mpmath.inverse(chains[1]) if s else chains[0]
+        sv = sorted(mpmath.svd_c(T, compute_uv=False))
+        ref = np.array([float(sv[0] ** 2), float(sv[-1] ** 2)])
+    assert np.allclose(eig[[0, -1]], ref, rtol=1e-8, atol=0.0)
+
+
+def test_spectra_worker_invariance():
+    params = EnsembleParams(N=12, r=2, s=1, nu=(0, 1), mu=(0,))
+    one = sp.sample_spectra(params, 6, RngStream(78), workers=1)
+    two = sp.sample_spectra(params, 6, RngStream(78), workers=2)
+    assert all(np.array_equal(a.eigenvalues, b.eigenvalues) for a, b in zip(one, two))
 
 
 def test_mp_spectrum_ks():
@@ -172,20 +203,12 @@ def test_cauchy_triple_seed_exchangeability():
 
 
 def test_square_factor_reordering_invariance():
-    # N x N induced factors commute in law under reordering
-    params = EnsembleParams(N=20, r=2, s=0, nu=(0, 2))
+    # the spectrum's law is symmetric in the exponents nu
     a, b = [], []
     for i in range(2500):
-        a.append(
-            sp.sample_product_spectrum(
-                params, RngStream(300).substream(i), square_induced=True, direct_order=(0, 1)
-            ).eigenvalues[-1]
-        )
-        b.append(
-            sp.sample_product_spectrum(
-                params, RngStream(301).substream(i), square_induced=True, direct_order=(1, 0)
-            ).eigenvalues[-1]
-        )
+        for nu, seed, out in (((0, 2), 300, a), ((2, 0), 301, b)):
+            params = EnsembleParams(N=20, r=2, s=0, nu=nu)
+            out.append(sp.sample_product_spectrum(params, RngStream(seed).substream(i)).eigenvalues[-1])
     assert scipy.stats.ks_2samp(a, b).pvalue > 0.01
 
 
