@@ -24,7 +24,7 @@ from . import freeprob as fp
 from . import hard_edge as he
 from . import sampler as sp
 from .config import effective_workers, load_config
-from .errors import ConfigError, WplError
+from .errors import ConfigError, DomainError, WplError
 from .freeprob import EnsembleParams
 from .hard_edge import HardEdgeParams
 
@@ -112,6 +112,14 @@ def _parse_x_values(text: str) -> tuple[float, ...]:
     if not all(v > 0 for v in vals):
         raise ConfigError(f"x values need to be > 0, got {text!r}")
     return vals
+
+
+def _count(text: str) -> int:
+    """argparse type of a count, which must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return n
 
 
 def _ensemble_from_args(args) -> EnsembleParams:
@@ -325,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw product-ensemble spectra")
     common(p)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_count, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=0)
     p.add_argument("--scaling", choices=[v.value for v in sp.Scaling], default="raw")
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ensemble=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--pmax", type=int, default=6)
+    p.add_argument("--pmax", type=_count, default=6)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("charpoly", help="generalized characteristic polynomial")
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=60)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--b", type=int, default=0)
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=_count, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-x", type=float, default=5.0)
     p.set_defaults(fn=cmd_cauchy)
@@ -391,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     common(p, ensemble=False)
     p.add_argument("--list", action="store_true", help="list check names without running")
-    p.add_argument("--only", nargs="*", help="subset of check names")
+    p.add_argument("--only", nargs="*", choices=list(acc.ALL_CHECKS), help="subset of check names")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="scale statistical tolerances (0.01 demonstrates failures)")
     p.add_argument("--json", help="write machine-readable report here")
@@ -406,7 +414,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # a parameter out of range is bad input too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except WplError as exc:

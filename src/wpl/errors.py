@@ -61,10 +61,6 @@ class EmptySample(WplError):
 
 # --- finite-N kernel / hard edge ----------------------------------------
 
-class ContourCollision(WplError):
-    """Quadrature nodes of the two contours came too close."""
-
-
 class CoincidentPoints(WplError):
     """Christoffel-Darboux form evaluated too close to the diagonal."""
 

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import _hiprec
 from .config import QUAD_TOL_DEFAULT
-from .errors import ContourCollision, DomainError, InternalImaginaryResidue, NonConvergent
+from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
-    ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, gl_line, ln_gamma, ln_trapezoid, meijer_g, pfq,
-    trapezoid_line,
+    ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line, ln_gamma,
+    ln_trapezoid, meijer_g, pfq, trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -75,12 +75,18 @@ def c_l(params: EnsembleParams, l: int) -> float:
 def _log_abs_c(params: EnsembleParams, l: int) -> float:
     if not 0 <= l <= params.N - 1:
         raise DomainError(f"l must lie in 0..N-1, got {l}")
-    total = math.lgamma(l + 1)  # j = 0 term, ν_0 = 0
+    return _log_gammas(params, -(l + 1), math.lgamma)  # the gamma product at u = -(l+1)
+
+
+def _log_gammas(params: EnsembleParams, u, lg=ln_gamma):
+    """ln Γ(-u) Π_j Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u), ν_0 = 0: the gamma
+    product of the Q_l lines, in the precision of the log-gamma lg."""
+    out = lg(-u)
     for nu in params.nu:
-        total += math.lgamma(nu + l + 1)
+        out = out + lg(nu - u)
     for mu in params.mu:
-        total += math.lgamma(mu + params.N - l)
-    return total
+        out = out + lg(1.0 + mu + params.N + u)
+    return out
 
 
 def _p_series(params: EnsembleParams, n: int) -> HypSeriesParams:
@@ -156,21 +162,12 @@ class BiorthSystem:
             return self._lines[(regime, dtype)]
         p = self.params
         lg = _hiprec.lngamma if dtype == np.longdouble else ln_gamma
-
-        def log_gammas(u):  # ln Γ(-u) Π Γ(ν_j - u) Π Γ(1 + μ_p + N + u), ν_0 = 0
-            out = lg(-u)
-            for nu in p.nu:
-                out = out + lg(nu - u)
-            for mu in p.mu:
-                out = out + lg(1.0 + mu + p.N + u)
-            return out
-
         ls = np.arange(p.N)
         # |C_l| is the gamma product at u = -(l+1)
-        log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(log_gammas(-(ls + 1).astype(dtype)))
+        log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(_log_gammas(p, -(ls + 1).astype(dtype), lg))
 
         def log_f(u):
-            return log_gammas(u)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
+            return _log_gammas(p, u, lg)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
 
         line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), self._tol(dtype), dtype)
         return line
@@ -257,61 +254,50 @@ def kernel_n_contour(
     y: float,
     tol: float = QUAD_TOL_DEFAULT,
 ) -> KernelEval:
-    """Correlation kernel by the double contour integral.
+    """Correlation kernel (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du.
 
-    Outer: vertical line Re u = -1/2.  Inner: circle around t = 0..N-1
-    (center (N-1)/2, radius N/2 - 1/4, trapezoid rule) staying right of
-    Re t = -1/2 so that u - t never vanishes.
+    F is the Q lines' gamma product with l = N, unnormalised, on Re u = -1/2
+    up to the end-decay height (Gauss-Legendre panels); G(t) = Γ(t - N + 1)
+    over that product at u = -t - 1, on a circle around t = 0..N-1 (center
+    (N-1)/2, radius N/2 - 1/4, trapezoid rule) at least 1/4 from the line.
+    One MellinLine.contract gives (x, y), (x, x) and (y, y), and
+    check_kernel_loss holds eps × the node-wise mass to its budget.
     """
-    N, r, s = params.N, params.r, params.s
+    N = params.N
     if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
         raise DomainError("kernel_n_contour requires finite x, y > 0")
 
-    kappa = 0.5 * math.pi * (r + s + 1)
-    height = max(12.0, (math.log(1.0 / tol) + 40.0 + (N + 1) * math.log(N + 2.0)) / kappa)
-    tnodes, wu = gl_line(height, np.polynomial.legendre.leggauss(48))
-    u = -0.5 + 1j * tnodes
+    def log_f(u):
+        return _log_gammas(params, u) - ln_gamma(-N - u)
 
-    nus = (0.0,) + tuple(float(v) for v in params.nu)
-    log_fu = -(u + 1.0) * math.log(y) - ln_gamma(u - N + 1.0)
-    for nu_j in nus:
-        log_fu = log_fu + ln_gamma(nu_j + u + 1.0)
-    for mu in params.mu:
-        log_fu = log_fu + ln_gamma(mu + N - u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fu = np.exp(log_fu) * wu
-    # checked before the line x circle matrices are formed: at N ~ 100 they
-    # take gigabytes, and an overflowed line factor makes the value NaN
-    if not np.all(np.isfinite(fu)):
-        raise NonConvergent(f"double-contour line factor overflows at N={N}")
+    tnodes, w = gl_line(end_decay_height(log_f, _Q_ABSCISSA), np.polynomial.legendre.leggauss(48))
+    u = _Q_ABSCISSA + 1j * tnodes
+    line = MellinLine(u, w, log_f(u))
 
-    center = 0.5 * (N - 1)
+    m_nodes = max(256, 80 * N)
     radius = 0.5 * N - 0.25
-    for attempt in range(2):
-        m_nodes = max(256, 80 * N)
-        theta = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
-        tcirc = center + radius * np.exp(1j * theta)
-        blocks = [slice(k, k + _CIRCLE_BLOCK) for k in range(0, m_nodes, _CIRCLE_BLOCK)]
-        dmin = min(np.min(np.abs(u[:, None] - tcirc[None, b])) for b in blocks)
-        if dmin >= 1e-3:
-            break
-        radius -= 0.05
-    else:
-        raise ContourCollision("u and t quadrature nodes too close after retry")
+    turn = np.exp(2j * math.pi * np.arange(m_nodes) / m_nodes)
+    tcirc = 0.5 * (N - 1) + radius * turn
+    pts = np.array([x, y])
+    log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(params, -tcirc - 1.0)
+    g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * turn * (radius / m_nodes)  # rows x, y
 
-    log_ft = tcirc * math.log(x) + ln_gamma(tcirc - N + 1.0)
-    for nu_j in nus:
-        log_ft = log_ft - ln_gamma(nu_j + tcirc + 1.0)
-    for mu in params.mu:
-        log_ft = log_ft - ln_gamma(mu + N - tcirc)
+    # circle sums for x and y and their unsigned masses, by blocks of circle nodes
+    circ = np.zeros((len(u), 2), dtype=complex)
+    circ_abs = np.zeros((len(u), 2))
+    for lo in range(0, m_nodes, _CIRCLE_BLOCK):
+        cauchy = 1.0 / (-u[:, None] - 1.0 - tcirc[None, lo : lo + _CIRCLE_BLOCK])
+        circ += cauchy @ g[:, lo : lo + _CIRCLE_BLOCK].T
+        circ_abs += np.abs(cauchy) @ np.abs(g[:, lo : lo + _CIRCLE_BLOCK]).T
 
-    ft = np.exp(log_ft) * np.exp(1j * theta) * (radius / m_nodes)
-    val = sum(fu @ (1.0 / (u[:, None] - tcirc[None, b])) @ ft[b] for b in blocks) / (2.0 * math.pi)
-    if not np.isfinite(val):
-        raise NonConvergent(f"double-contour value {val} is not finite")
-    if abs(val.imag) > 1e3 * tol * max(1.0, abs(val.real)):
-        raise InternalImaginaryResidue(f"double-contour imaginary residue {val.imag}")
-    return KernelEval(x=x, y=y, value=float(val.real), method="double_contour")
+    ix, iy = np.array([0, 0, 1]), np.array([1, 0, 1])  # pairs (x, y), (x, x), (y, y)
+    basis = np.exp(np.outer(u, np.log(pts[iy]))) * circ[:, ix]
+    node_mass = pts[iy] ** _Q_ABSCISSA * circ_abs[:, ix]  # bounds |basis|
+    with np.errstate(divide="ignore"):  # a circle factor may underflow whole
+        vals = line.contract(lambda sl: basis[:, sl], np.log(np.max(node_mass, axis=0)), tol)[0]
+    mass = np.abs(line.coeff[0]) @ node_mass
+    check_kernel_loss("double contour", np.log(mass), vals, pts, ix, iy)
+    return KernelEval(x=x, y=y, value=float(vals[0]), method="double_contour")
 
 
 def rho_k(params: EnsembleParams, points) -> CorrelationResult:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import QUAD_TOL_DEFAULT
 from .errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, gl_panels, meijer_line, pfq
+from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, check_kernel_loss, gl_panels, meijer_line, pfq
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,6 @@ def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     return np.einsum("qp,qp->p", f[:, ix], g[:, iy])
 
 
-# Largest estimated rounding error, relative to sqrt(K(x,x) K(y,y)), that
-# the Mellin route returns; measured errors sit 20-60x below the estimate
-_LOSS_BUDGET = 1e-8
-
-
 def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray, tol: float) -> np.ndarray:
     """r >= 2: K(pts[ix], pts[iy]) by one Mellin-Barnes line, for pairs that
     include every diagonal pair (p, p).
@@ -165,8 +160,8 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     The alternating series loses about (r+1)(1 - cos(π/(r+1))) x^{1/(r+1)}
     nats, and the line about (r+1) cos(π/(r+1)) y^{1/(r+1)} to the decay of
     G^{r,0}.  The rounding error is bounded by eps times the unsigned mass
-    Σ_i |w_i F(s_i)| y^c Σ_k |c_k| x^k/(k+c+1), and a pair whose bound
-    exceeds _LOSS_BUDGET of sqrt(K(x,x) K(y,y)) raises NonConvergent.
+    Σ_i |w_i F(s_i)| y^c Σ_k |c_k| x^k/(k+c+1), which specfun.check_kernel_loss
+    holds to its budget.
     """
     spec = _gr0_spec(params)
     contour = ContourSpec.auto(spec, tol=tol)
@@ -179,15 +174,7 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     y_s = np.exp(np.outer(line.u, log_pts))
     log_scale = (c * log_pts)[iy] + np.log(np.abs(terms).T @ (1.0 / (k + 1.0 + c)))[ix]
     vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], log_scale, tol)[0]
-    root_diag = np.empty(len(pts))
-    root_diag[ix[ix == iy]] = np.sqrt(np.abs(vals[ix == iy]))
-    with np.errstate(divide="ignore", over="ignore"):
-        loss = np.finfo(float).eps * np.exp(line.log_mass[0] + log_scale) / (root_diag[ix] * root_diag[iy])
-    if np.max(loss) > _LOSS_BUDGET:
-        worst = int(np.argmax(loss))
-        raise NonConvergent(
-            f"hard-edge series loses too much at (x, y) = ({pts[ix[worst]]:g}, {pts[iy[worst]]:g}): "
-            f"estimated error {loss[worst]:.1e} of sqrt(K(x,x) K(y,y))")
+    check_kernel_loss("hard-edge series", line.log_mass[0] + log_scale, vals, pts, ix, iy)
     return vals
 
 

@@ -250,7 +250,7 @@ def sample_cauchy_triple(N: int, a: int, b: int, rng: RngStream) -> np.ndarray:
 
 
 def sample_matrix_f(N: int, M: int, rng: RngStream) -> np.ndarray:
-    """Eigenvalues of C†C with C = A^{-1}B, A (M x M) and B (M x N) Ginibre."""
+    """Eigenvalues of C†C, C = A^{-1}B with A (M x M) and B (M x N) Ginibre, as C's squared singular values."""
     if M < N:
         raise DomainError("need M >= N")
     gen = rng.generator()
@@ -261,7 +261,7 @@ def sample_matrix_f(N: int, M: int, rng: RngStream) -> np.ndarray:
             C = np.linalg.solve(A, B)
         except np.linalg.LinAlgError:
             continue
-        return np.sort(np.linalg.eigvalsh(np.conj(C.T) @ C))
+        return np.sort(np.linalg.svd(C, compute_uv=False) ** 2)
     raise NumericalSingularity("A numerically singular repeatedly")
 
 

@@ -490,25 +490,48 @@ class MellinLine:
 # a Q line's rounding floor in units of eps × unsigned mass: where its sum
 # stops moving between levels, and where its integrand is cut off
 _LINE_ROUNDING = 1e3
+# Largest estimated rounding error, relative to sqrt(K(x,x) K(y,y)), that a kernel line
+# sum returns; measured errors sit 20-100x below it, but up to 5x above at s >= 1
+_LOSS_BUDGET = 1e-8
 
 
-def trapezoid_line(log_f, c: float, probes, tol: float, dtype=np.float64) -> MellinLine:
-    """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid.
+def check_kernel_loss(what: str, log_mass: np.ndarray, vals: np.ndarray, pts: np.ndarray, ix, iy) -> None:
+    """Raise NonConvergent, naming `what` and the worst pair, where eps ×
+    the unsigned mass exp(log_mass) of K(pts[ix], pts[iy]) exceeds
+    _LOSS_BUDGET of sqrt(K(x,x) K(y,y)); vals must include every pair (p, p)."""
+    root_diag = np.empty(len(pts))
+    root_diag[ix[ix == iy]] = np.sqrt(np.abs(vals[ix == iy]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        loss = np.finfo(float).eps * np.exp(log_mass) / (root_diag[ix] * root_diag[iy])
+    if not np.all(loss <= _LOSS_BUDGET):  # NaN (no mass, no value) fails too
+        worst = int(np.argmax(loss))
+        raise NonConvergent(
+            f"{what} loses too much at (x, y) = ({pts[ix[worst]]:g}, {pts[iy[worst]]:g}): "
+            f"estimated error {loss[worst]:.1e} of sqrt(K(x,x) K(y,y))")
 
-    The half-height grows from 12 by half until each row's |F_l| at the ends
-    is within rel = _LINE_ROUNDING eps of its peak (larger ends add a share
-    that falls only like h).  Nodes c + ikh, weights h; every row's sum must
-    settle at every probe x_p, which must span the points the line serves.
-    """
-    rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
+
+def end_decay_height(log_f, c: float, dtype=np.float64) -> int:
+    """Half-height of the line Re u = c: it grows from 12 by half until each
+    row's |F_l| at the ends is within _LINE_ROUNDING eps of its peak
+    (larger ends add a share that falls only like h on a trapezoid line)."""
+    log_rel = math.log(_LINE_ROUNDING * float(np.finfo(dtype).eps))
     m = 12
     while True:  # |F_l| is even in t
         re_f = np.real(np.atleast_2d(log_f(c + 1j * np.arange(m + 1, dtype=dtype))))
-        if np.all(re_f[:, -1] - np.max(re_f, axis=1) <= math.log(rel)):
-            break
+        if np.all(re_f[:, -1] - np.max(re_f, axis=1) <= log_rel):
+            return m
         m += m // 2
         if 2 * m + 1 > _TRAPEZOID_BUDGET:
             raise NonConvergent(f"line integrand has not decayed at height {m}")
+
+
+def trapezoid_line(log_f, c: float, probes, tol: float, dtype=np.float64) -> MellinLine:
+    """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid,
+    up to end_decay_height.  Nodes c + ikh, weights h; every row's sum must
+    settle at every probe x_p, which must span the points the line serves.
+    """
+    rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
+    m = end_decay_height(log_f, c, dtype)
     log_x = np.log(np.asarray(probes, dtype=dtype))
     two_pi = 2 * pi_in(dtype)
 

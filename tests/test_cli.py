@@ -156,6 +156,29 @@ def test_nonfinite_or_nonpositive_input_is_config_error(args, message):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["kernel", "--N", "0"], "N must be a positive integer"),
+    (["kernel", "--nu", "-1"], "nonnegative"),
+    (["kernel", "--nu", "0,0"], "len(nu)"),
+    (["hardedge", "--r", "0"], "r >= 1"),
+    (["hardedge", "--r", "2", "--nu", "0"], "length r"),
+    (["bulk", "--r", "0"], "r >= 1"),
+    (["density", "--r", "0", "--s", "0", "--grid", "0.1:1:3"], "r + s >= 1"),
+    (["cauchy", "--N", "0"], "N >= 1"),
+    (["acceptance", "--only", "bogus"], "invalid choice"),
+    (["sample", "--samples", "-1"], "count >= 1"),
+    (["cauchy", "--draws", "-2"], "count >= 1"),
+], ids=["kernel-N0", "kernel-nu-negative", "kernel-nu-length", "hardedge-r0", "hardedge-nu-length", "bulk-r0",
+        "density-r0s0", "cauchy-N0", "acceptance-unknown", "sample-negative", "cauchy-draws-negative"])
+def test_out_of_range_parameter_is_config_error(args, message):
+    # these exited 3 (a numerical failure, or an internal KeyError), or 0
+    # with an empty table for a negative count
+    res = run_cli(args)
+    assert res.returncode == cli.EXIT_CONFIG_ERROR
+    assert message in res.stderr
+    assert res.stdout == ""
+
+
 def test_bulk_default_grid_starts_at_zero():
     # bulk's grid is in t = y - x, where the default 0:2:9 starts at t = 0
     res = run_cli(["bulk", "--r", "1"])

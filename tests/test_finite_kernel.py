@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from numpy.polynomial import laguerre
 
 from wpl import _hiprec
@@ -255,6 +256,35 @@ def test_kernel_contour_memory_bounded():
     assert peak < 100 * 2**20
     laguerre_sum = sum(laguerre.Laguerre.basis(l)(10.0) ** 2 for l in range(40)) * math.exp(-10.0)
     assert value == pytest.approx(laguerre_sum, rel=1e-8)
+
+
+P11_N10 = EnsembleParams(N=10, r=1, s=1, nu=(0,), mu=(0,))
+P22_N10 = EnsembleParams(N=10, r=2, s=2, nu=(0, 0), mu=(0, 0))
+
+
+@pytest.mark.parametrize("params, x", [(P11_N10, 10.0), (P11_N10, 12.0), (P22_N10, 3.0), (P22_N10, 5.0),
+                                       (EnsembleParams(N=40, r=1, s=0, nu=(0,)), 30.0)],
+                         ids=["r1s1-x10", "r1s1-x12", "r2s2-x3", "r2s2-x5", "laguerre40-x30"])
+def test_kernel_contour_loss_raises(params, x):
+    # eps x the node-wise unsigned mass exceeds 1e-8 of K(x, x): these came
+    # back 2e-5 (r1s1, x = 10) and 1.7e-5 (r2s2, x = 5) off without an error
+    with pytest.raises(NonConvergent, match="estimated error"):
+        fk.kernel_n_contour(params, x, x)
+
+
+def test_kernel_contour_matches_longdouble_sum():
+    # exact rational P x longdouble Q; at x = 10 this sum equals 40-digit
+    # mpmath to the last digit.  The hand-set line height left 4.3e-8 here
+    x = np.array([5.0], dtype=np.longdouble)
+    ref = float((_hiprec._p_matrix(P11_N10, x) * fk.biorth_system(P11_N10).q_matrix(x)).sum())
+    assert fk.kernel_n_contour(P11_N10, 5.0, 5.0).value == pytest.approx(ref, rel=1e-8)
+
+
+def test_kernel_contour_loss_rule_not_too_pessimistic():
+    # the loss estimate is 1.1e-9 of K here, the error about 1e-11
+    value = fk.kernel_n_contour(EnsembleParams(N=20, r=1, s=0, nu=(0,)), 20.0, 20.0).value
+    ref = sum(scipy.special.eval_laguerre(l, 20.0) ** 2 for l in range(20)) * math.exp(-20.0)
+    assert abs(value - ref) <= 1e-10 * ref
 
 
 def test_kernel_asymmetry_and_det_symmetry():

@@ -222,6 +222,20 @@ def test_matrix_f_jacobi_limit():
         assert sp.sup_distance(sp.empirical_cdf(lam), arcsine) < 0.03
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_matrix_f_smallest_eigenvalue_matches_mpmath(seed):
+    # redraw A and B from the same stream, in the sampler's order, and take
+    # the SVD of A^{-1} B at 40 digits; eigvalsh(C†C) was 1.3e-10 off at seed 2
+    mpmath = pytest.importorskip("mpmath")
+    eig = sp.sample_matrix_f(30, 30, RngStream(seed))
+    gen = RngStream(seed).generator()
+    A, B = sp._ginibre(gen, 30, 30), sp._ginibre(gen, 30, 30)
+    with mpmath.workdps(40):
+        C = mpmath.inverse(mpmath.matrix(A.tolist())) * mpmath.matrix(B.tolist())
+        ref = float(min(mpmath.svd_c(C, compute_uv=False)) ** 2)
+    assert eig[0] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_empirical_cdf_and_sup_distance():
     e = sp.empirical_cdf([1.0, 2.0, 3.0])
     assert e(2.5) == pytest.approx(2.0 / 3.0)
