@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -115,6 +115,15 @@ def p_n(params: EnsembleParams, n: int, x):
     return sign * pref * series
 
 
+class ContourData(NamedTuple):
+    """The point-free parts of kernel_n_contour for one parameter set."""
+
+    line: MellinLine  # F(u) on Re u = -1/2, nodes mirror-symmetric about the real axis
+    tcirc: np.ndarray  # circle nodes t_j, tcirc[m - j] = conj(tcirc[j]) exactly
+    log_g: np.ndarray  # ln G(t_j)
+    weight: np.ndarray  # trapezoid factors of dt/(2πi) at t_j
+
+
 class BiorthSystem:
     """Precomputed contour data for the Q_l family and kernel sums.
 
@@ -130,17 +139,45 @@ class BiorthSystem:
     The working precision follows the points given to q_matrix: longdouble
     points are evaluated in extended precision (Stirling log-gamma,
     tolerance scaled by the dtype's epsilon), which the Gram matrix needs;
-    any other points in float64.  Lines are built once per (regime, dtype).
+    any other points in float64.  Each line is built on first use, once per
+    (regime, dtype), and so are kernel_n_contour's line and circle
+    (`contour`): construction computes only ln |C_l| and cannot raise.  q_matrix and
+    p_matrix, the sum route, raise NonConvergent if a C_l is beyond the
+    float64 range (the Q rows carry 1/|C_l|, and P_l's prefactor is a
+    factor of C_l).
     """
 
     def __init__(self, params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT):
         self.params = params
         self.tol = tol
-        N = params.N
-        self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(N)])
-        self.C = np.array([c_l(params, l) for l in range(N)])
+        self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(params.N)])
         self._lines: dict[tuple, MellinLine] = {}
-        self._line("mid", np.float64)
+
+    @cached_property
+    def contour(self) -> ContourData:
+        """kernel_n_contour's outer line and circle, built on first use.
+
+        F is the Q lines' gamma product with l = N, unnormalised, on Re u =
+        -1/2 up to the end-decay height (Gauss-Legendre panels); G(t) =
+        Γ(t - N + 1) over that product at u = -t - 1, on a circle around
+        t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4, m = max(256, 80 N)
+        trapezoid nodes) at least 1/4 from the line.
+        """
+        p, N = self.params, self.params.N
+
+        def log_f(u):
+            return _log_gammas(p, u) - ln_gamma(-N - u)
+
+        tnodes, w = gl_line(end_decay_height(log_f, _Q_ABSCISSA), np.polynomial.legendre.leggauss(48))
+        u = _Q_ABSCISSA + 1j * tnodes
+        m_nodes = max(256, 80 * N)
+        radius = 0.5 * N - 0.25
+        # e^{2πij/m} on the upper half circle, mirrored; 1 and -1 exactly real
+        upper = np.exp(2j * math.pi * np.arange(1, m_nodes // 2) / m_nodes)
+        turn = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
+        tcirc = 0.5 * (N - 1) + radius * turn
+        log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0)
+        return ContourData(MellinLine(u, w, log_f(u)), tcirc, log_g, turn * (radius / m_nodes))
 
     def _tol(self, dtype) -> float:
         # the float64 target, tightened by the working precision's extra digits
@@ -172,6 +209,11 @@ class BiorthSystem:
         line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), self._tol(dtype), dtype)
         return line
 
+    def _check_constants(self) -> None:
+        over = self.log_abs_C > _LOG_FLOAT_MAX
+        if np.any(over):
+            c_l(self.params, int(np.argmax(over)))  # raises, naming the first such l
+
     def _eval_saddle_group(self, x: np.ndarray, out: np.ndarray, cols: np.ndarray) -> None:
         """s = 0 deep tail: lines through the saddle at -x^{1/r}, bucketed in ln x.
 
@@ -194,6 +236,7 @@ class BiorthSystem:
 
         Longdouble points give longdouble values; anything else float64.
         """
+        self._check_constants()
         x = np.asarray(x)
         x = x.astype(np.longdouble if x.dtype == np.longdouble else np.float64, copy=False)
         out = np.empty((self.params.N, len(x)), dtype=x.dtype)
@@ -209,6 +252,7 @@ class BiorthSystem:
 
     def p_matrix(self, x: np.ndarray) -> np.ndarray:
         """All P_n (rows n = 0..N-1) on an array of points."""
+        self._check_constants()
         return np.vstack([p_n(self.params, n, x) for n in range(self.params.N)])
 
     def kernel_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -256,42 +300,38 @@ def kernel_n_contour(
 ) -> KernelEval:
     """Correlation kernel (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du.
 
-    F is the Q lines' gamma product with l = N, unnormalised, on Re u = -1/2
-    up to the end-decay height (Gauss-Legendre panels); G(t) = Γ(t - N + 1)
-    over that product at u = -t - 1, on a circle around t = 0..N-1 (center
-    (N-1)/2, radius N/2 - 1/4, trapezoid rule) at least 1/4 from the line.
-    One MellinLine.contract gives (x, y), (x, x) and (y, y), and
-    check_kernel_loss holds eps × the node-wise mass to its budget.
+    The line and circle are BiorthSystem.contour, built once per parameter
+    set; a call forms only the circle sums at its points.  Those for the
+    lower half line are the conjugates of the upper half's (the circle is
+    mirror-symmetric and G conjugate on it), so only the upper half is
+    summed.  One MellinLine.contract over the whole line gives (x, y),
+    (x, x) and (y, y), and check_kernel_loss holds eps × the node-wise mass
+    to its budget.  A line whose coefficients overflow raises before any
+    circle sum.
     """
-    N = params.N
     if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
         raise DomainError("kernel_n_contour requires finite x, y > 0")
-
-    def log_f(u):
-        return _log_gammas(params, u) - ln_gamma(-N - u)
-
-    tnodes, w = gl_line(end_decay_height(log_f, _Q_ABSCISSA), np.polynomial.legendre.leggauss(48))
-    u = _Q_ABSCISSA + 1j * tnodes
-    line = MellinLine(u, w, log_f(u))
-
-    m_nodes = max(256, 80 * N)
-    radius = 0.5 * N - 0.25
-    turn = np.exp(2j * math.pi * np.arange(m_nodes) / m_nodes)
-    tcirc = 0.5 * (N - 1) + radius * turn
+    line, tcirc, log_g, weight = biorth_system(params).contour
+    if line.coeff is None:  # as contract would raise, after the circle sums
+        raise NonConvergent("Mellin-Barnes line coefficients overflow")
     pts = np.array([x, y])
-    log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(params, -tcirc - 1.0)
-    g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * turn * (radius / m_nodes)  # rows x, y
+    g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * weight  # rows x, y
 
-    # circle sums for x and y and their unsigned masses, by blocks of circle nodes
-    circ = np.zeros((len(u), 2), dtype=complex)
-    circ_abs = np.zeros((len(u), 2))
-    for lo in range(0, m_nodes, _CIRCLE_BLOCK):
-        cauchy = 1.0 / (-u[:, None] - 1.0 - tcirc[None, lo : lo + _CIRCLE_BLOCK])
+    # circle sums for x and y and their unsigned masses on the upper half
+    # line, by blocks of circle nodes
+    half = len(line.u) // 2
+    pole = -line.u[half:] - 1.0  # of the Cauchy factor, in t
+    circ = np.zeros((half, 2), dtype=complex)
+    circ_abs = np.zeros((half, 2))
+    for lo in range(0, len(tcirc), _CIRCLE_BLOCK):
+        cauchy = 1.0 / (pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK])
         circ += cauchy @ g[:, lo : lo + _CIRCLE_BLOCK].T
         circ_abs += np.abs(cauchy) @ np.abs(g[:, lo : lo + _CIRCLE_BLOCK]).T
+    circ = np.concatenate([np.conj(circ[::-1]), circ])  # node i mirrors node len(u) - 1 - i
+    circ_abs = np.concatenate([circ_abs[::-1], circ_abs])
 
     ix, iy = np.array([0, 0, 1]), np.array([1, 0, 1])  # pairs (x, y), (x, x), (y, y)
-    basis = np.exp(np.outer(u, np.log(pts[iy]))) * circ[:, ix]
+    basis = np.exp(np.outer(line.u, np.log(pts[iy]))) * circ[:, ix]
     node_mass = pts[iy] ** _Q_ABSCISSA * circ_abs[:, ix]  # bounds |basis|
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
         vals = line.contract(lambda sl: basis[:, sl], np.log(np.max(node_mass, axis=0)), tol)[0]
@@ -426,9 +466,10 @@ def pq_trapezoid(params: EnsembleParams, lo: float, hi: float, p_matrix, settle,
     which every integral of settle(P, Q) has settled to tol, in `dtype`;
     p_matrix gives the P rows in that dtype."""
     sys, N = biorth_system(params), params.N
-    nodes, weights, pq = ln_trapezoid(lambda x: np.concatenate([p_matrix(x), sys.q_matrix(x)]),
-                                      lambda pq: settle(pq[:N], pq[N:]), lo, hi, tol, dtype)
-    return nodes, weights, pq[:N], pq[N:]
+    # Q rows first: q_matrix raises at once where a C_l leaves the float64 range
+    nodes, weights, qp = ln_trapezoid(lambda x: np.concatenate([sys.q_matrix(x), p_matrix(x)]),
+                                      lambda qp: settle(qp[N:], qp[:N]), lo, hi, tol, dtype)
+    return nodes, weights, qp[N:], qp[:N]
 
 
 @lru_cache(maxsize=16)

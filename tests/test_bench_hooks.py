@@ -5,10 +5,14 @@ wplbench/workloads.py empties lru caches between passes; a rename in wpl
 would otherwise only show on the next traced benchmark run.
 """
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import wpl
 
 BENCH = Path(__file__).resolve().parent.parent / "wplbench"
 
@@ -35,3 +39,14 @@ def test_lru_caches_can_be_cleared(bench_modules):
     _, workloads = bench_modules
     for fn in workloads.LRU_CACHES:
         assert callable(getattr(fn, "cache_clear", None)), f"{fn.__name__} is not lru-cached"
+
+
+def test_every_lru_cache_is_cleared_between_passes(bench_modules):
+    # a cache the benchmark does not empty would let later passes skip work
+    # that the first pass did
+    _, workloads = bench_modules
+    for info in pkgutil.iter_modules(wpl.__path__):
+        module = importlib.import_module(f"wpl.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                assert obj in workloads.LRU_CACHES, f"wpl.{info.name}.{name} is not in workloads.LRU_CACHES"

@@ -239,8 +239,35 @@ def test_kernel_rejects_nonfinite_or_nonpositive_points(bad):
 def test_kernel_contour_overflow_raises():
     # at N = 120 the outer line's gamma factors overflow double precision;
     # the value used to come back as NaN
-    with pytest.raises(NonConvergent):
+    with pytest.raises(NonConvergent, match="coefficients overflow"):
         fk.kernel_n_contour(EnsembleParams(N=120, r=1, s=1, nu=(0,), mu=(0,)), 1.0, 1.0)
+
+
+def test_kernel_contour_matches_laguerre_at_N100():
+    # C_99 = (99!)^2 leaves the float64 range, so the sum route raises on the
+    # same system; the contour route never reads C_l
+    p = EnsembleParams(N=100, r=1, s=0, nu=(0,))
+    value = fk.kernel_n_contour(p, 5.0, 5.0).value
+    ref = sum(scipy.special.eval_laguerre(l, 5.0) ** 2 for l in range(100)) * math.exp(-5.0)
+    assert abs(value - ref) <= 1e-12 * ref
+    with pytest.raises(NonConvergent, match="C_99 = e\\^718 overflows float64"):
+        fk.kernel_n(p, 5.0, 5.0)
+
+
+def test_kernel_contour_data_holds_no_point_state():
+    # the line and circle are built once per system and shared by every call
+    p = EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))
+    a, b = (0.7, 2.0), (5.0, 0.3)
+    first_a, first_b = fk.kernel_n_contour(p, *a).value, fk.kernel_n_contour(p, *b).value
+    assert fk.kernel_n_contour(p, *a).value == first_a
+    for point, first in ((a, first_a), (b, first_b)):  # each against a fresh system
+        fk.biorth_system.cache_clear()
+        assert fk.kernel_n_contour(p, *point).value == first
+    tcirc = fk.biorth_system(p).contour.tcirc
+    assert np.array_equal(tcirc[1:][::-1], np.conj(tcirc[1:]))  # t_{m-j} = conj(t_j)
+    assert tcirc[0].imag == 0.0
+    u = fk.biorth_system(p).contour.line.u
+    assert np.array_equal(u[::-1], np.conj(u))
 
 
 def test_kernel_contour_memory_bounded():
