@@ -119,8 +119,8 @@ _REFINE_GUARD = 200  # midpoints a single solve may insert
 def _track_roots(r: int, s: int, paths: np.ndarray, length: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Follow the root of (1-w)^{s+1} = zeta w^{r+1} along each row of paths.
 
-    Row k is a zeta path of length[k] points; w[k] is the root (or its
-    limit) at the first one.
+    Row k is a zeta path of length[k] points; w[k] estimates the root at
+    the first one, closer to it than to any other root.
     A step takes the root nearest the current one, unless the second
     nearest is within twice that distance: then the midpoint of the step
     goes on the point's stack of targets and is tried first (at most
@@ -189,8 +189,12 @@ def solve_stieltjes(r: int, s: int, z) -> StieltjesValue:
     """Physical root of the functional equation at z (Im z > 0 or z < 0 real).
 
     z may be a scalar or an array; all its points are tracked together.
-    The root is selected by homotopy continuation from the |z| -> inf regime
-    (where w -> 1) and checked against the Herglotz sign.
+    The root is selected by homotopy continuation from small zeta = -1/z,
+    where it is w0 = 1 - zeta^{1/(s+1)} to leading order (the principal
+    power: the branch with G > 0 on z < 0, continued into Im z > 0), and
+    checked against the Herglotz sign.  An upper path starts at
+    Im z = 100 max(1, |z|), low enough that the s+1 roots near 1 stand
+    apart in float64, so its first step needs no refinement.
     """
     za = np.asarray(z, dtype=complex)
     zf = za.ravel()
@@ -208,14 +212,12 @@ def solve_stieltjes(r: int, s: int, z) -> StieltjesValue:
     upper = zf.imag > 0
     paths = np.zeros((zf.size, max(_H_STEPS, len(_TAUS))), dtype=complex)
     length = np.where(upper, _H_STEPS, len(_TAUS))
-    w0 = np.ones(zf.size, dtype=complex)
     zu = zf[upper]
-    h_hi = 1e7 * np.maximum(1.0, np.hypot(zu.real, zu.imag))
+    h_hi = 100.0 * np.maximum(1.0, np.hypot(zu.real, zu.imag))
     hs = np.geomspace(h_hi, zu.imag, _H_STEPS, axis=1)
     paths[upper, :_H_STEPS] = -1.0 / (zu.real[:, None] + 1j * hs)
-    zeta_end = -1.0 / zf.real[~upper]
-    paths[~upper, : len(_TAUS)] = _TAUS * zeta_end[:, None]
-    w0[~upper] = [1.0 - (_TAUS[0] * e) ** (1.0 / (s + 1)) for e in zeta_end]
+    paths[~upper, : len(_TAUS)] = _TAUS * (-1.0 / zf.real[~upper])[:, None]
+    w0 = 1.0 - paths[:, 0] ** (1.0 / (s + 1))
     w_track = _track_roots(r, s, paths, length, w0)
 
     G = np.empty(zf.size, dtype=complex)
@@ -235,6 +237,10 @@ def solve_stieltjes(r: int, s: int, z) -> StieltjesValue:
     return StieltjesValue(z=za[()], G=G.reshape(shape)[()], residual=residual.reshape(shape)[()])
 
 
+def _listed(xs: np.ndarray) -> str:
+    return ", ".join(repr(float(x)) for x in xs)
+
+
 def stieltjes_density(r: int, s: int, x):
     """rho(x) by Stieltjes inversion, Richardson-extrapolated in epsilon.
 
@@ -246,12 +252,13 @@ def stieltjes_density(r: int, s: int, x):
     route for `global_density`.
 
     The two first-stage estimates a (eps, eps/2) and b (eps/2, eps/4) agree
-    to 5e-10 of rho wherever the homotopy finds the physical root; beyond
-    the envelope in the README (x ~ 3e3 and up when r > s >= 2) a wrong
-    root makes them differ by the size of rho itself.  A disagreement above
-    1e-6 rho plus a rounding floor of 1e-12/x (some 5e3 eps |G|, which
-    covers the noise off the support) raises NonConvergent, and rho below
-    -1e-9 raises NoPhysicalRoot; the error names the first such x.
+    to 5e-10 of rho wherever the homotopy finds the physical root; a wrong
+    root (next to a soft edge, say) makes them differ by the size of rho
+    itself.  A disagreement above 1e-6 rho plus a rounding floor of 1e-12/x
+    (some 5e3 eps |G|, which covers the noise off the support) raises
+    NonConvergent.  rho below -1e-9 raises NoPhysicalRoot, and so does
+    rho <= 0 at r, s >= 1, where the support is all of (0, inf).  The
+    error names every such x.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 0):
@@ -262,13 +269,16 @@ def stieltjes_density(r: int, s: int, x):
     b = 2.0 * f[2] - f[1]
     rho = (4.0 * b - a) / 3.0
     wrong = np.abs(a - b) > 1e-6 * np.abs(rho) + 1e-12 / xa
-    negative = rho < -1e-9
-    bad = np.flatnonzero(wrong | negative)
-    if bad.size:
-        k = np.unravel_index(bad[0], xa.shape)
-        if wrong[k]:
-            raise NonConvergent(f"Richardson estimates {a[k]} and {b[k]} disagree at x = {xa[k]}: wrong root")
-        raise NoPhysicalRoot(f"negative density {rho[k]} at x = {xa[k]}")
+    whole_line = r >= 1 and s >= 1  # the support is all of (0, inf)
+    unphysical = ~wrong & ((rho <= 0.0) if whole_line else (rho < -1e-9))
+    faults = []
+    if wrong.any():
+        faults.append(f"Richardson estimates disagree (wrong root, or a soft edge) at x = {_listed(xa[wrong])}")
+    if unphysical.any():
+        what = "density not positive on the support" if whole_line else "negative density"
+        faults.append(f"{what} at x = {_listed(xa[unphysical])}")
+    if faults:
+        raise (NonConvergent if wrong.any() else NoPhysicalRoot)("; ".join(faults))
     rho = np.where(rho < 0, 0.0, rho)
     return float(rho) if rho.ndim == 0 else rho
 

@@ -193,6 +193,14 @@ def test_numerical_failure_exit_code():
     assert "nan" not in res.stdout
 
 
+def test_density_failure_names_every_x():
+    # x = 4.0 is the (1,0) soft edge, where the Stieltjes cross-check cannot converge
+    res = run_cli(["density", "--r", "1", "--s", "0", "--grid", "0.5:6:12"])
+    assert res.returncode == cli.EXIT_NUMERICAL_FAILURE
+    assert "Richardson estimates disagree" in res.stderr and res.stderr.rstrip().endswith("at x = 4.0")
+    assert "Traceback" not in res.stderr
+
+
 def test_kernel_overflowing_constant_is_numerical_failure():
     # C_99 = (99!)^2 at N = 100, r = 1 leaves the float64 range
     res = run_cli(["kernel", "--N", "100", "--r", "1", "--s", "0", "--nu", "0", "--x", "50", "--y", "50"])

@@ -202,16 +202,41 @@ def test_global_density_r0_matches_solver():
         assert fp.stieltjes_density(0, s, 0.5 * edge) == 0.0
 
 
-# points of a 40-point log scan of [1e3, 2e6] where the homotopy lands on a
-# wrong root and the Richardson result used to come back off by 1.3-4x
-# (1.81e-7 against 6.78e-8 at (3,2), x = 8.85e4)
+# points of a 40-point log scan of [1e3, 2e6] where the homotopy, started
+# at w0 = 1 from Im z = 1e7 |z|, landed on a wrong root: the Richardson
+# result came back off by 1.3-4x (1.81e-7 against 6.78e-8 at (3,2),
+# x = 8.85e4), and later raised.  Started on the physical root, it is right
 @pytest.mark.parametrize("r,s,x", [
     (3, 2, 88462.92182376178), (3, 2, 1354398.319194773), (4, 3, 346141.63665927533),
     (5, 4, 27473.279908146378), (4, 2, 2000000.0),
 ])
 def test_stieltjes_density_raises_beyond_envelope(r, s, x):
-    with pytest.raises(NonConvergent):
-        fp.stieltjes_density(r, s, x)
+    ref = fp.global_density(r, s, x)
+    assert abs(fp.stieltjes_density(r, s, x) - ref) <= 1e-9 * ref
+
+
+def test_stieltjes_density_far_tail_sweep():
+    # the far tail at s >= 3, where the start at w0 = 1 returned 41 of these
+    # 108 values wrong without raising and raised at 24
+    xs = np.geomspace(1e7, 1e9, 9)
+    for r, s in itertools.product(range(6), (3, 5)):
+        ref = fp.global_density(r, s, xs)
+        assert np.all(np.abs(fp.stieltjes_density(r, s, xs) - ref) <= 1e-9 * ref), (r, s)
+
+
+def test_stieltjes_density_raises_on_zero_inside_support(monkeypatch):
+    # at r, s >= 1 every x > 0 is in the support: a root with Im G = 0 there
+    # is not the physical one, and rho = 0 must not come back
+    solve = fp.solve_stieltjes
+
+    def real_root(r, s, z):
+        sv = solve(r, s, z)
+        return fp.StieltjesValue(z=sv.z, G=sv.G.real + 0j, residual=sv.residual)
+
+    monkeypatch.setattr(fp, "solve_stieltjes", real_root)
+    with pytest.raises(NoPhysicalRoot, match="at x = 0.5, 2.0$"):
+        fp.stieltjes_density(1, 1, np.array([0.5, 2.0]))
+    assert fp.stieltjes_density(1, 0, 5.0) == 0.0  # off the (1,0) support 0 is right
 
 
 STIELTJES_PAIRS = ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 1), (4, 2))
@@ -253,9 +278,8 @@ def test_stieltjes_density_array_equals_scalar_calls(r, s, monkeypatch):
     roots = fp._roots
     monkeypatch.setattr(fp, "_roots", lambda *args: steps.append(len(args[2])) or roots(*args))
     rho = fp.stieltjes_density(r, s, xs)
-    # 79 steps per z without refinement: at s >= 1 some points insert
-    # midpoints, while the s = 0 grids need none
-    assert (sum(steps) > 3 * len(xs) * 79) == (s > 0)
+    # every path starts on its root and takes its 79 steps without refinement
+    assert sum(steps) == 3 * len(xs) * 79
     monkeypatch.undo()
     assert rho.shape == xs.shape
     assert np.array_equal(rho, [fp.stieltjes_density(r, s, float(x)) for x in xs])
@@ -299,10 +323,11 @@ def test_solve_stieltjes_vanishing_leading_coefficient():
 
 
 def test_stieltjes_density_array_raises_beyond_envelope():
-    # one far-tail point (README envelope) among good ones fails the whole call
-    xs = np.array([0.5, 3.0, 88462.92182376178, 10.0])
-    with pytest.raises((NonConvergent, NoPhysicalRoot)):
-        fp.stieltjes_density(3, 2, xs)
+    # one point on the (1,0) soft edge among good ones fails the whole call,
+    # and the error names it
+    xs = np.array([0.5, 3.0, 4.0, 1.0])
+    with pytest.raises(NonConvergent, match="at x = 4.0$"):
+        fp.stieltjes_density(1, 0, xs)
     with pytest.raises(DomainError):
         fp.stieltjes_density(1, 1, np.array([1.0, 0.0]))
 
