@@ -3,8 +3,9 @@
 Subcommands: sample, density, moments, charpoly, kernel, hardedge, cauchy,
 bulk, acceptance.  Output is CSV (header row, shortest round-trip decimal
 payload, trailing commented metadata block) or JSON mirroring the same
-rows.  Exit codes: 0 ok, 1 check failure, 2 config error, 3 numerical
-failure or internal error.  WPL_THREADS caps the worker pool.
+rows.  Exit codes: 0 ok, 1 check failure, 2 config error (bad input), 3
+numerical failure or internal error.  --workers sets the Monte Carlo worker
+pool of sample and charpoly; the environment variable WPL_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from . import finite_kernel as fk
 from . import freeprob as fp
 from . import hard_edge as he
 from . import sampler as sp
-from .config import effective_workers, load_config
 from .errors import ConfigError, DomainError, WplError
 from .freeprob import EnsembleParams
 from .hard_edge import HardEdgeParams
@@ -133,11 +133,10 @@ def _ensemble_from_args(args) -> EnsembleParams:
 # --------------------------------------------------------------------------
 
 
-def cmd_sample(args, cfg) -> int:
+def cmd_sample(args) -> int:
     params = _ensemble_from_args(args)
     scaling = sp.Scaling(args.scaling)
-    workers = effective_workers(args.workers or cfg.mc.workers)
-    samples = sp.sample_spectra(params, args.samples, sp.RngStream(args.seed), scaling, workers)
+    samples = sp.sample_spectra(params, args.samples, sp.RngStream(args.seed), scaling, args.workers)
     rows = [
         (i, j, float(v), scaling.value)
         for i, smp in enumerate(samples)
@@ -148,7 +147,7 @@ def cmd_sample(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_density(args, cfg) -> int:
+def cmd_density(args) -> int:
     lo, hi, n = _parse_x_grid(args.grid)
     xs = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
     closed = fp.global_density(args.r, args.s, xs)
@@ -159,7 +158,7 @@ def cmd_density(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_moments(args, cfg) -> int:
+def cmd_moments(args) -> int:
     rows = []
     for p in range(1, args.pmax + 1):
         if args.s == 0:
@@ -174,15 +173,12 @@ def cmd_moments(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_charpoly(args, cfg) -> int:
+def cmd_charpoly(args) -> int:
     params = _ensemble_from_args(args)
     lams = _parse_floats(args.lam)
     rows = []
     if args.samples:
-        mean, err = sp.mc_charpoly(
-            params, np.asarray(lams), max(100, args.samples), sp.RngStream(args.seed),
-            workers=effective_workers(args.workers or cfg.mc.workers),
-        )
+        mean, err = sp.mc_charpoly(params, np.asarray(lams), args.samples, sp.RngStream(args.seed), args.workers)
         for lam, m, e in zip(lams, np.atleast_1d(mean), np.atleast_1d(err)):
             exact = fk.charpoly_exact(params, lam)
             rows.append((lam, exact, float(m), float(e), (float(m) - exact) / float(e)))
@@ -196,7 +192,7 @@ def cmd_charpoly(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_kernel(args, cfg) -> int:
+def cmd_kernel(args) -> int:
     params = _ensemble_from_args(args)
     xs = _parse_x_values(args.x)
     ys = _parse_x_values(args.y)
@@ -206,13 +202,13 @@ def cmd_kernel(args, cfg) -> int:
             if args.method in ("sum", "both"):
                 rows.append((x, y, fk.kernel_n(params, x, y).value, "biorth_sum"))
             if args.method in ("contour", "both"):
-                rows.append((x, y, fk.kernel_n_contour(params, x, y, tol=cfg.quad.tol).value, "double_contour"))
+                rows.append((x, y, fk.kernel_n_contour(params, x, y).value, "double_contour"))
     meta = {"params": params, "method": args.method}
     write_table(args.out, ["x", "y", "K", "method"], rows, meta, args.format)
     return EXIT_OK
 
 
-def cmd_hardedge(args, cfg) -> int:
+def cmd_hardedge(args) -> int:
     nu = _parse_ints(args.nu) if args.nu is not None else (0,) * args.r
     params = HardEdgeParams(r=args.r, nu=nu)
     rows = []
@@ -220,7 +216,7 @@ def cmd_hardedge(args, cfg) -> int:
     if args.diag:
         lo, hi, n = _parse_x_grid(args.diag)
         xs = np.linspace(lo, hi, n)
-        ks = he.k_hard_diag(params, xs, tol=cfg.quad.tol)
+        ks = he.k_hard_diag(params, xs)
         if args.r == 1:
             header = ["x", "y", "K", "method", "bessel_reference", "abs_diff"]
             ref = he.bessel_density(params.nu[0], xs)
@@ -234,19 +230,19 @@ def cmd_hardedge(args, cfg) -> int:
         xs = _parse_x_values(args.x)
         ys = _parse_x_values(args.y)
         if args.method in ("integral", "both"):
-            grid = he.k_hard_grid(params, xs, ys, tol=cfg.quad.tol)
+            grid = he.k_hard_grid(params, xs, ys)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 if args.method in ("integral", "both"):
                     rows.append((x, y, float(grid[i, j]), "integral"))
                 if args.method in ("cd", "both"):
-                    rows.append((x, y, he.k_hard_cd(params, x, y, tol=cfg.quad.tol).value, "christoffel_darboux"))
+                    rows.append((x, y, he.k_hard_cd(params, x, y).value, "christoffel_darboux"))
     meta = {"r": args.r, "nu": nu, "method": args.method}
     write_table(args.out, header, rows, meta, args.format)
     return EXIT_OK
 
 
-def cmd_cauchy(args, cfg) -> int:
+def cmd_cauchy(args) -> int:
     rng = sp.RngStream(args.seed)
     rows = []
     scale = float(args.N) ** 2
@@ -262,7 +258,7 @@ def cmd_cauchy(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_bulk(args, cfg) -> int:
+def cmd_bulk(args) -> int:
     lo, hi, n = _parse_grid(args.grid)
     rows = []
     for t in np.linspace(lo, hi, n):
@@ -273,7 +269,7 @@ def cmd_bulk(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_acceptance(args, cfg) -> int:
+def cmd_acceptance(args) -> int:
     if args.list:
         for name in acc.ALL_CHECKS:
             print(name)
@@ -318,7 +314,6 @@ def _jsonable(obj):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wpl", description=__doc__)
-    parser.add_argument("--config", help="flat key-value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, ensemble=True):
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--samples", type=_count, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--scaling", choices=[v.value for v in sp.Scaling], default="raw")
     p.set_defaults(fn=cmd_sample)
 
@@ -357,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charpoly", help="generalized characteristic polynomial")
     common(p)
     p.add_argument("--lam", default="0.5,1,2")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo draws (0: exact only)")
+    p.add_argument("--samples", type=int, default=0, help="Monte Carlo draws, at least 100 (0: exact only)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=_count, default=1)
     p.set_defaults(fn=cmd_charpoly)
 
     p = sub.add_parser("kernel", help="finite-N correlation kernel")
@@ -412,8 +407,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return args.fn(args, cfg)
+        return args.fn(args)
     except (ConfigError, DomainError) as exc:  # a parameter out of range is bad input too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -20,7 +20,7 @@ class LowerParamPole(WplError):
 
 
 class NonConvergent(WplError):
-    """Numerical evaluation failed to converge within the configured budget."""
+    """Numerical evaluation exceeded its fixed budget or left the float64 range."""
 
 
 class ContourViolation(WplError):
@@ -72,4 +72,4 @@ class UnsupportedR(WplError):
 # --- harness -----------------------------------------------------------
 
 class ConfigError(WplError):
-    """Invalid run configuration."""
+    """Invalid input: a CLI argument or the WPL_THREADS setting."""

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _hiprec
-from .config import QUAD_TOL_DEFAULT
 from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
@@ -66,10 +65,14 @@ def c_l(params: EnsembleParams, l: int) -> float:
 
     A constant beyond the float64 range (from N ~ 100) raises NonConvergent.
     """
-    log_abs = _log_abs_c(params, l)
+    return (-1.0) ** l * _exp_float64(f"C_{l}", _log_abs_c(params, l), params)
+
+
+def _exp_float64(what: str, log_abs: float, params: EnsembleParams) -> float:
+    """e^log_abs; NonConvergent, naming `what`, where it leaves float64."""
     if log_abs > _LOG_FLOAT_MAX:
-        raise NonConvergent(f"C_{l} = e^{log_abs:.0f} overflows float64 at N = {params.N}")
-    return (-1.0) ** l * math.exp(log_abs)
+        raise NonConvergent(f"{what} = e^{log_abs:.0f} overflows float64 at N = {params.N}")
+    return math.exp(log_abs)
 
 
 def _log_abs_c(params: EnsembleParams, l: int) -> float:
@@ -105,11 +108,12 @@ def _p_log_prefactor(params: EnsembleParams, n: int) -> float:
 
 
 def p_n(params: EnsembleParams, n: int, x):
-    """Monic biorthogonal polynomial of degree n (terminating series form)."""
+    """Monic biorthogonal polynomial of degree n (terminating series form);
+    a prefactor beyond the float64 range raises NonConvergent."""
     if not 0 <= n <= params.N:
         raise DomainError(f"n must lie in 0..N, got {n}")
     sign = (-1.0) ** n
-    pref = math.exp(_p_log_prefactor(params, n))
+    pref = _exp_float64(f"the P_{n} prefactor", _p_log_prefactor(params, n), params)
     arg = np.asarray(x, dtype=float) * (-1.0) ** params.s
     series = pfq(_p_series(params, n), arg)
     return sign * pref * series
@@ -137,19 +141,19 @@ class BiorthSystem:
     line is specfun.trapezoid_line, settled at probes spanning its x range.
 
     The working precision follows the points given to q_matrix: longdouble
-    points are evaluated in extended precision (Stirling log-gamma,
-    tolerance scaled by the dtype's epsilon), which the Gram matrix needs;
-    any other points in float64.  Each line is built on first use, once per
-    (regime, dtype), and so are kernel_n_contour's line and circle
-    (`contour`): construction computes only ln |C_l| and cannot raise.  q_matrix and
-    p_matrix, the sum route, raise NonConvergent if a C_l is beyond the
-    float64 range (the Q rows carry 1/|C_l|, and P_l's prefactor is a
-    factor of C_l).
+    points are evaluated in extended precision (Stirling log-gamma, and
+    specfun.line_tol: the tolerance scaled by the dtype's epsilon), which
+    the Gram matrix needs; any other points in float64.  A parameter set
+    has one accuracy, so `biorth_system` caches on the parameters alone.
+    Each line is built on first use, once per (regime, dtype), and so are
+    kernel_n_contour's line and circle (`contour`): construction computes
+    only ln |C_l| and cannot raise.  q_matrix and p_matrix, the sum route,
+    raise NonConvergent if a C_l is beyond the float64 range (the Q rows
+    carry 1/|C_l|, and P_l's prefactor is a factor of C_l).
     """
 
-    def __init__(self, params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT):
+    def __init__(self, params: EnsembleParams):
         self.params = params
-        self.tol = tol
         self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(params.N)])
         self._lines: dict[tuple, MellinLine] = {}
 
@@ -179,10 +183,6 @@ class BiorthSystem:
         log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0)
         return ContourData(MellinLine(u, w, log_f(u)), tcirc, log_g, turn * (radius / m_nodes))
 
-    def _tol(self, dtype) -> float:
-        # the float64 target, tightened by the working precision's extra digits
-        return self.tol * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
-
     def _geometry(self, regime):
         """Abscissa and probe points of a regime's line."""
         p = self.params
@@ -206,7 +206,7 @@ class BiorthSystem:
         def log_f(u):
             return _log_gammas(p, u, lg)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
 
-        line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), self._tol(dtype), dtype)
+        line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), dtype)
         return line
 
     def _check_constants(self) -> None:
@@ -229,7 +229,7 @@ class BiorthSystem:
         for key in np.unique(keys):
             sel = keys == key
             xs = x[live][sel]
-            out[:, cols[live][sel]] = self._line(float(key), x.dtype.type).eval(xs, self._tol(x.dtype))
+            out[:, cols[live][sel]] = self._line(float(key), x.dtype.type).eval(xs)
 
     def q_matrix(self, x: np.ndarray) -> np.ndarray:
         """All Q_l (rows l = 0..N-1) on an array of positive points.
@@ -242,10 +242,10 @@ class BiorthSystem:
         out = np.empty((self.params.N, len(x)), dtype=x.dtype)
         high = x > _X_DEEP
         if not np.all(high):
-            out[:, ~high] = self._line("mid", x.dtype.type).eval(x[~high], self._tol(x.dtype))
+            out[:, ~high] = self._line("mid", x.dtype.type).eval(x[~high])
         if np.any(high):
             if self.params.s >= 1:
-                out[:, high] = self._line("deep", x.dtype.type).eval(x[high], self._tol(x.dtype))
+                out[:, high] = self._line("deep", x.dtype.type).eval(x[high])
             else:
                 self._eval_saddle_group(x[high], out, np.nonzero(high)[0])
         return out
@@ -261,8 +261,8 @@ class BiorthSystem:
 
 
 @lru_cache(maxsize=32)
-def biorth_system(params: EnsembleParams, tol: float = QUAD_TOL_DEFAULT) -> BiorthSystem:
-    return BiorthSystem(params, tol)
+def biorth_system(params: EnsembleParams) -> BiorthSystem:
+    return BiorthSystem(params)
 
 
 def q_l(params: EnsembleParams, l: int, x):
@@ -292,12 +292,7 @@ def kernel_n(params: EnsembleParams, x: float, y: float) -> KernelEval:
     return KernelEval(x=x, y=y, value=val, method="biorth_sum")
 
 
-def kernel_n_contour(
-    params: EnsembleParams,
-    x: float,
-    y: float,
-    tol: float = QUAD_TOL_DEFAULT,
-) -> KernelEval:
+def kernel_n_contour(params: EnsembleParams, x: float, y: float) -> KernelEval:
     """Correlation kernel (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du.
 
     The line and circle are BiorthSystem.contour, built once per parameter
@@ -334,7 +329,7 @@ def kernel_n_contour(
     basis = np.exp(np.outer(line.u, np.log(pts[iy]))) * circ[:, ix]
     node_mass = pts[iy] ** _Q_ABSCISSA * circ_abs[:, ix]  # bounds |basis|
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
-        vals = line.contract(lambda sl: basis[:, sl], np.log(np.max(node_mass, axis=0)), tol)[0]
+        vals = line.contract(lambda sl: basis[:, sl], np.log(np.max(node_mass, axis=0)))[0]
     mass = np.abs(line.coeff[0]) @ node_mass
     check_kernel_loss("double contour", np.log(mass), vals, pts, ix, iy)
     return KernelEval(x=x, y=y, value=float(vals[0]), method="double_contour")
@@ -367,7 +362,8 @@ def charpoly_exact(params: EnsembleParams, lam: float, normalized: bool = False)
     """Averaged generalized characteristic polynomial (terminating series).
 
     normalized=True strips the constant-term prefactor (coefficient of
-    lambda^0 becomes one), the form whose hard-edge limit is 0Fr.
+    lambda^0 becomes one), the form whose hard-edge limit is 0Fr.  A prefactor
+    or value beyond the float64 range raises NonConvergent.
     """
     upper = (-float(params.N),) + tuple(-float(mu + params.N) for mu in params.mu)
     lower = tuple(1.0 + nu for nu in params.nu)
@@ -377,7 +373,10 @@ def charpoly_exact(params: EnsembleParams, lam: float, normalized: bool = False)
     log_pref = sum(
         math.lgamma(nu + 1 + params.N) - math.lgamma(nu + 1) for nu in params.nu
     )
-    return float((-1.0) ** params.N * math.exp(log_pref) * series)
+    value = float((-1.0) ** params.N * _exp_float64("the charpoly prefactor", log_pref, params) * series)
+    if not math.isfinite(value):
+        raise NonConvergent(f"the charpoly value overflows float64 at N = {params.N}")
+    return value
 
 
 def _box_matrix(params: EnsembleParams, points: np.ndarray, form: str) -> np.ndarray:

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import QUAD_TOL_DEFAULT
 from .errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
 from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, check_kernel_loss, gl_panels, meijer_line, pfq
 
@@ -87,7 +86,7 @@ def _gr0_spec(params: HardEdgeParams) -> MeijerSpec:
     return MeijerSpec(m=params.r, n=0, p=0, q=params.r + 1, a=(), b=b)
 
 
-def _gr0_deltas(params: HardEdgeParams, w, powers, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+def _gr0_deltas(params: HardEdgeParams, w, powers) -> np.ndarray:
     """Δ^j G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0) at points w > 0, one row per j in powers.
 
     At r >= 2 the Mellin-Barnes line of the highest power J (its
@@ -108,20 +107,20 @@ def _gr0_deltas(params: HardEdgeParams, w, powers, tol: float = QUAD_TOL_DEFAULT
                 rows.append(wv**nu1 * ((nu1 + np.arange(len(terms))) ** j @ terms))
         return np.array(rows)
     spec = _gr0_spec(params)
-    contour = ContourSpec.auto(spec, tol=tol)
+    contour = ContourSpec.auto(spec)
     log_w = np.log(wv).ravel()
     top = max(powers)
     line = meijer_line(spec, contour, float(np.max(np.abs(log_w))), power=top)
     u = line.u
     pw, lw = np.repeat(powers, log_w.size) - top, np.tile(log_w, len(powers))
     log_scale = contour.abscissa * lw + pw * math.log(float(np.min(np.abs(u))))  # pw <= 0
-    vals = line.contract(lambda sl: u[:, None] ** pw[sl] * np.exp(np.outer(u, lw[sl])), log_scale, tol)[0]
+    vals = line.contract(lambda sl: u[:, None] ** pw[sl] * np.exp(np.outer(u, lw[sl])), log_scale)[0]
     return vals.reshape((len(powers),) + wv.shape)
 
 
-def _gr0_values(params: HardEdgeParams, w, power: int = 0, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+def _gr0_values(params: HardEdgeParams, w, power: int = 0) -> np.ndarray:
     """G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0), vectorized, with Δ^power."""
-    return _gr0_deltas(params, w, (power,), tol)[0]
+    return _gr0_deltas(params, w, (power,))[0]
 
 
 def _u_grid(x_max: float):
@@ -144,7 +143,7 @@ def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     return np.einsum("qp,qp->p", f[:, ix], g[:, iy])
 
 
-def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray, tol: float) -> np.ndarray:
+def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     """r >= 2: K(pts[ix], pts[iy]) by one Mellin-Barnes line, for pairs that
     include every diagonal pair (p, p).
 
@@ -164,7 +163,7 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     holds to its budget.
     """
     spec = _gr0_spec(params)
-    contour = ContourSpec.auto(spec, tol=tol)
+    contour = ContourSpec.auto(spec)
     log_pts = np.log(pts)
     line = meijer_line(spec, contour, float(np.max(np.abs(log_pts))))
     c = contour.abscissa
@@ -173,12 +172,12 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     h = (1.0 / (k[None, :] + 1.0 + line.u[:, None])) @ terms  # H(s_i, x_p)
     y_s = np.exp(np.outer(line.u, log_pts))
     log_scale = (c * log_pts)[iy] + np.log(np.abs(terms).T @ (1.0 / (k + 1.0 + c)))[ix]
-    vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], log_scale, tol)[0]
+    vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], log_scale)[0]
     check_kernel_loss("hard-edge series", line.log_mass[0] + log_scale, vals, pts, ix, iy)
     return vals
 
 
-def _kernel_pairs(params: HardEdgeParams, x, y, tol: float) -> np.ndarray:
+def _kernel_pairs(params: HardEdgeParams, x, y) -> np.ndarray:
     """K(x_p, y_p) for positive point arrays x, y of one length."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
@@ -190,11 +189,11 @@ def _kernel_pairs(params: HardEdgeParams, x, y, tol: float) -> np.ndarray:
     if params.r == 1:
         vals = _bessel_pairs(params, pts, ix, iy)
     else:
-        vals = _mellin_pairs(params, pts, ix, iy, tol)
+        vals = _mellin_pairs(params, pts, ix, iy)
     return vals[:n]
 
 
-def k_hard_grid(params: HardEdgeParams, xs, ys, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+def k_hard_grid(params: HardEdgeParams, xs, ys) -> np.ndarray:
     """K_hard(x_i, y_j) on a grid, rows x_i (independent of s and of mu).
 
     r >= 2 contracts one Mellin-Barnes line with the 0F_r series (see
@@ -203,19 +202,19 @@ def k_hard_grid(params: HardEdgeParams, xs, ys, tol: float = QUAD_TOL_DEFAULT) -
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return _kernel_pairs(params, gx.ravel(), gy.ravel(), tol).reshape(len(xs), len(ys))
+    return _kernel_pairs(params, gx.ravel(), gy.ravel()).reshape(len(xs), len(ys))
 
 
-def k_hard(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_DEFAULT) -> HardKernelEval:
+def k_hard(params: HardEdgeParams, x: float, y: float) -> HardKernelEval:
     """Hard-edge kernel at one point: a 1 x 1 k_hard_grid."""
-    value = float(k_hard_grid(params, [x], [y], tol)[0, 0])
+    value = float(k_hard_grid(params, [x], [y])[0, 0])
     return HardKernelEval(x=x, y=y, value=value, method="integral")
 
 
-def k_hard_diag(params: HardEdgeParams, xs: np.ndarray, tol: float = QUAD_TOL_DEFAULT) -> np.ndarray:
+def k_hard_diag(params: HardEdgeParams, xs: np.ndarray) -> np.ndarray:
     """K_hard(x, x) on a grid of points."""
     xs = np.asarray(xs, dtype=float)
-    return _kernel_pairs(params, xs, xs, tol)
+    return _kernel_pairs(params, xs, xs)
 
 
 def bessel_density(a: int, x) -> np.ndarray:
@@ -225,7 +224,7 @@ def bessel_density(a: int, x) -> np.ndarray:
     return bessel_j(float(a), z) ** 2 - bessel_j(float(a + 1), z) * bessel_j(float(a - 1), z)
 
 
-def k_hard_cd(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_DEFAULT) -> HardKernelEval:
+def k_hard_cd(params: HardEdgeParams, x: float, y: float) -> HardKernelEval:
     """Generalized Christoffel-Darboux form (all ν_j = 0):
 
     K = (-1)^{r+1} Σ_{j=0}^r (-1)^j Δ_x^j f(x) Δ_y^{r-j} g(y) / (x - y),
@@ -239,7 +238,7 @@ def k_hard_cd(params: HardEdgeParams, x: float, y: float, tol: float = QUAD_TOL_
         raise CoincidentPoints("use the integral form near the diagonal")
     r = params.r
     xa = np.array([x])
-    g = _gr0_deltas(params, np.array([y]), range(r + 1), tol)[:, 0]
+    g = _gr0_deltas(params, np.array([y]), range(r + 1))[:, 0]
     total = 0.0
     for j in range(r + 1):
         fj = float(_g10_series(params, xa, power=j)[0])
@@ -358,7 +357,7 @@ def rho2_tail_report(r: int, x: float, y: float, n_phase: int = 9) -> dict:
     y0 = max(y, 1.05 * x_end)
     ys = _phase_uniform_window(r, y0, n_phase)
     gx, gy = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
-    kxy, kyx = np.split(_kernel_pairs(params, np.concatenate([gx, gy]), np.concatenate([gy, gx]), QUAD_TOL_DEFAULT), 2)
+    kxy, kyx = np.split(_kernel_pairs(params, np.concatenate([gx, gy]), np.concatenate([gy, gx])), 2)
     ratios = [-a * b / rho2_truncated_tail(r, float(xv), float(yv)) for a, b, xv, yv in zip(kxy, kyx, gx, gy)]
     ratio = float(np.mean(ratios))
     return {
@@ -387,7 +386,7 @@ def bulk_experiment(r: int, c: float, x: float, y: float) -> tuple[float, float]
     scale = math.pi * c ** (r / (r + 1.0)) / math.sin(math.pi / (r + 1))
     X = c + x * scale
     Y = c + y * scale
-    kxy, kyx = _kernel_pairs(params, [X, Y], [Y, X], QUAD_TOL_DEFAULT)
+    kxy, kyx = _kernel_pairs(params, [X, Y], [Y, X])
     if x == y:
         return (scale * kxy) ** 2, 1.0
     prod = scale**2 * kxy * kyx

@@ -9,21 +9,22 @@ Randomness is counter-based (Philox) and keyed by (seed, stream_id): the
 same key reproduces bit-identical draws on any platform, and distinct
 stream ids are independent.  Monte Carlo loops are chunked with a fixed
 chunk size, one stream per chunk, so results do not depend on the worker
-count.
+count.  The environment variable WPL_THREADS caps the worker count a
+caller asks for (`effective_workers`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .config import effective_workers
-from .errors import AlreadyScaled, DomainError, EmptySample, NumericalSingularity
+from .errors import AlreadyScaled, ConfigError, DomainError, EmptySample, NumericalSingularity
 from .freeprob import EnsembleParams
 from .specfun import gl_panels
 
@@ -138,6 +139,18 @@ def rescale(sample: SpectrumSample, target: Scaling) -> SpectrumSample:
     else:
         raise DomainError(f"unknown scaling {target}")
     return replace(sample, eigenvalues=sample.eigenvalues * factor, scaling=target)
+
+
+def effective_workers(requested: int) -> int:
+    """Worker count after the WPL_THREADS cap."""
+    cap = os.environ.get("WPL_THREADS")
+    if cap is None:
+        return max(1, requested)
+    try:
+        cap_n = int(cap)
+    except ValueError as exc:
+        raise ConfigError(f"WPL_THREADS must be an integer, got {cap!r}") from exc
+    return max(1, min(requested, cap_n))
 
 
 def sample_spectra(

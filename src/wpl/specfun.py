@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import QUAD_TOL_DEFAULT
 from .errors import (
     ContourViolation,
     DivergentSeries,
@@ -43,6 +42,11 @@ from .errors import (
 # numpy complex128; no wrapper type is needed.
 
 _LOG_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
+# float64 accuracy target of a Mellin-Barnes line: its absolute error, the floor
+# of its imaginary-residue guard and its settling tolerance (see line_tol)
+_TOL = 1e-12
+_PFQ_TOL = 1e-15
+_PFQ_MAX_TERMS = 100_000
 # parsed in the working dtype, so longdouble gets all of its digits
 _PI_DIGITS = "3.14159265358979323846264338327950288420"
 
@@ -178,12 +182,12 @@ class HypSeriesParams:
                     raise LowerParamPole(f"lower parameter {b} hits a factorial pole")
 
 
-def pfq(params: HypSeriesParams, x, tol: float = 1e-15, max_terms: int = 100_000):
+def pfq(params: HypSeriesParams, x):
     """Sum the series pFq(a; b; x) by term-ratio recurrence.
 
     Terminating series are summed exactly (terminating_at + 1 terms).
     Non-terminating series stop after three consecutive terms below
-    tol * |partial sum|; more than max_terms raises NonConvergent.
+    _PFQ_TOL * |partial sum|; more than _PFQ_MAX_TERMS raises NonConvergent.
     """
     params.check()
     p_, q_ = len(params.upper), len(params.lower)
@@ -205,8 +209,8 @@ def pfq(params: HypSeriesParams, x, tol: float = 1e-15, max_terms: int = 100_000
     while True:
         if n_stop is not None and k >= n_stop:
             break
-        if k >= max_terms:
-            raise NonConvergent(f"pFq did not converge within {max_terms} terms")
+        if k >= _PFQ_MAX_TERMS:
+            raise NonConvergent(f"pFq did not converge within {_PFQ_MAX_TERMS} terms")
         num = 1.0
         for a in params.upper:
             num *= a + k
@@ -219,7 +223,7 @@ def pfq(params: HypSeriesParams, x, tol: float = 1e-15, max_terms: int = 100_000
         total = total + term
         k += 1
         if n_stop is None:
-            if np.all(np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)):
+            if np.all(np.abs(term) <= _PFQ_TOL * np.maximum(np.abs(total), 1e-300)):
                 consecutive += 1
                 if consecutive >= 3:
                     break
@@ -273,22 +277,19 @@ class MeijerSpec:
 class ContourSpec:
     """Vertical Mellin-Barnes contour Re s = abscissa, |Im s| <= half_height.
 
-    tol is the target absolute error; the quadrature order and the final
-    height follow from it.
+    half_height is where meijer_line starts; the quadrature order and the
+    final height follow from the absolute error target _TOL.
     """
 
     abscissa: float
     half_height: float
-    tol: float = QUAD_TOL_DEFAULT
 
     def __post_init__(self):
         if self.half_height <= 0:
             raise ContourViolation("half_height must be positive")
-        if self.tol <= 0:
-            raise ContourViolation("tol must be positive")
 
     @classmethod
-    def auto(cls, spec: MeijerSpec, tol: float = QUAD_TOL_DEFAULT) -> "ContourSpec":
+    def auto(cls, spec: MeijerSpec) -> "ContourSpec":
         """Midpoint-of-gap abscissa and a decay-based initial half-height."""
         lo, hi = spec.left_pole_max, spec.right_pole_min
         if lo >= hi:
@@ -303,10 +304,10 @@ class ContourSpec:
             c = 0.0
         kappa = 0.5 * math.pi * spec.decay_exponent
         if kappa > 0:
-            height = max(10.0, (math.log(1.0 / tol) + 8.0) / kappa)
+            height = max(10.0, (math.log(1.0 / _TOL) + 8.0) / kappa)
         else:
             height = 30.0
-        return cls(abscissa=c, half_height=height, tol=tol)
+        return cls(abscissa=c, half_height=height)
 
 
 def _validate_contour(spec: MeijerSpec, contour: ContourSpec) -> None:
@@ -410,6 +411,11 @@ def _log_max(dtype) -> float:
     return float(np.log(np.finfo(dtype).max)) - 110.0
 
 
+def line_tol(dtype) -> float:
+    """_TOL, tightened by the extra digits of the working precision dtype."""
+    return _TOL * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
+
+
 class MellinLine:
     """Mellin-Barnes line sums (1/2π) Σ_i w_i F_l(u_i) x^{u_i}, one per row l.
 
@@ -417,7 +423,7 @@ class MellinLine:
     real axis, w their weights and log_f the log F_l(u_i), one row per sum
     (a 1-d log_f is one row).  `contract` puts any node x point matrix in
     place of x^{u_i}.  The sums are evaluated in the precision of log_f:
-    complex128 or clongdouble.
+    complex128 or clongdouble, whose line_tol is the line's `tol`.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray, log_f: np.ndarray):
@@ -426,6 +432,7 @@ class MellinLine:
         self.log_f = np.atleast_2d(log_f)
         re_f = np.real(self.log_f)
         self.two_pi = 2 * pi_in(re_f.dtype)
+        self.tol = line_tol(re_f.dtype)
         self.c = np.real(u[0])
         # ln Σ_i |coeff[l, i]|: with |x^u| = x^c it bounds the unsigned mass
         mass = re_f + np.log(np.abs(w))
@@ -436,18 +443,18 @@ class MellinLine:
             with np.errstate(under="ignore"):
                 self.coeff = np.exp(self.log_f) * w / self.two_pi
 
-    def eval(self, x: np.ndarray, tol: float) -> np.ndarray:
+    def eval(self, x: np.ndarray) -> np.ndarray:
         """The real parts of the sums at positive points x, rows x len(x)."""
         log_x = np.log(x)
         if self.coeff is not None:
-            return self.contract(lambda sl: np.exp(np.outer(self.u, log_x[sl])), self.c * log_x, tol)
+            return self.contract(lambda sl: np.exp(np.outer(self.u, log_x[sl])), self.c * log_x)
         # fold x^u into the exponent so saddle-shifted lines stay in range
         return self._sum_blocks(
             lambda sl: np.array([self.w @ np.exp(lf[:, None] + np.outer(self.u, log_x[sl])) for lf in self.log_f])
             / self.two_pi,
-            self.c * log_x, tol)
+            self.c * log_x)
 
-    def contract(self, basis, log_scale: np.ndarray, tol: float) -> np.ndarray:
+    def contract(self, basis, log_scale: np.ndarray) -> np.ndarray:
         """Re Σ_i coeff[l, i] M[i, j], rows x points: the sums with a node x
         point matrix M in place of x^u.
 
@@ -458,9 +465,9 @@ class MellinLine:
         """
         if self.coeff is None:
             raise NonConvergent("Mellin-Barnes line coefficients overflow")
-        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), log_scale, tol)
+        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), log_scale)
 
-    def _sum_blocks(self, sums, log_scale: np.ndarray, tol: float) -> np.ndarray:
+    def _sum_blocks(self, sums, log_scale: np.ndarray) -> np.ndarray:
         """sums(sl) in blocks of _CHUNK points, under the imaginary-residue guard.
 
         Conjugate node pairs cancel Im exactly; the rounding residue scales
@@ -481,7 +488,7 @@ class MellinLine:
             imax = max(imax, float(np.max(np.abs(vals.imag), initial=0.0)))
         with np.errstate(over="ignore"):
             mass = np.exp(np.max(self.log_mass) + np.max(log_scale))
-        allowed = max(1e3 * tol, 1e-12 * float(mass))
+        allowed = max(1e3 * self.tol, 1e-12 * float(mass))
         if imax > allowed:
             raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard {allowed}")
         return out
@@ -525,10 +532,11 @@ def end_decay_height(log_f, c: float, dtype=np.float64) -> int:
             raise NonConvergent(f"line integrand has not decayed at height {m}")
 
 
-def trapezoid_line(log_f, c: float, probes, tol: float, dtype=np.float64) -> MellinLine:
+def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid,
     up to end_decay_height.  Nodes c + ikh, weights h; every row's sum must
-    settle at every probe x_p, which must span the points the line serves.
+    settle to line_tol(dtype) at every probe x_p, which must span the points
+    the line serves.
     """
     rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
     m = end_decay_height(log_f, c, dtype)
@@ -539,14 +547,14 @@ def trapezoid_line(log_f, c: float, probes, tol: float, dtype=np.float64) -> Mel
         return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / two_pi
 
     u, w, lf = halving_trapezoid(lambda u: np.atleast_2d(log_f(u)), probe_sums, lambda t: c + 1j * t,
-                                 lambda u: np.ones(len(u), dtype), -dtype(m), 2 * m, tol, dtype, rel)
+                                 lambda u: np.ones(len(u), dtype), -dtype(m), 2 * m, line_tol(dtype), dtype, rel)
     return MellinLine(u, w, lf)
 
 
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
     """The Mellin-Barnes line of `spec` along `contour`, for points |ln x| <= lx_max.
 
-    The half-height grows until the integrand's tail is below tol/100; the
+    The half-height grows until the integrand's tail is below _TOL/100; the
     per-panel order resolves the nearest pole and the x^{it} oscillation.
     The integrand picks up a factor s^power.
     """
@@ -565,13 +573,13 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
         return val + abs(c) * lx_max + power * math.log(abs(s_top))
 
     height = contour.half_height
-    target = math.log(contour.tol) + math.log(1e-2)
+    target = math.log(_TOL) + math.log(1e-2)
     grow = 0
     while tail_log_mag(height) > target and grow < 60:
         height *= 1.35
         grow += 1
     if tail_log_mag(height) > target:
-        raise NonConvergent("integrand tail exceeds tol at truncation height")
+        raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
 
     # Per-panel order: resolve the nearest pole (Bernstein-ellipse rate
     # for a width-2 panel) and the x^{it} oscillation along the line.
@@ -579,7 +587,7 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
     d_left = c - spec.left_pole_max
     d_min = min(d_right, d_left)
     rho = d_min + math.sqrt(d_min * d_min + 1.0)
-    pole_order = int(math.ceil(-math.log(contour.tol * 1e-2) / (2.0 * math.log(rho)))) + 2
+    pole_order = int(math.ceil(-math.log(_TOL * 1e-2) / (2.0 * math.log(rho)))) + 2
     osc_order = int(3.0 * lx_max) + 8
     order = max(16, pole_order, osc_order)
     t, w = gl_line(height, np.polynomial.legendre.leggauss(order))
@@ -590,7 +598,7 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
     return MellinLine(s, w, log_f)
 
 
-def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int, tol: float) -> np.ndarray:
+def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int) -> np.ndarray:
     """Right-half-plane residue series; valid for m=1, n=0, p<q (entire)."""
     b1 = spec.b[0]
     log_x = np.log(x)
@@ -609,7 +617,7 @@ def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int, tol: float) -> n
         term = coeff * np.exp((b1 + k) * log_x)
         total = total + term
         scale = np.maximum(np.abs(total), 1.0)
-        if np.all(np.abs(term) <= tol * scale):
+        if np.all(np.abs(term) <= _TOL * scale):
             consecutive += 1
             if consecutive >= 3 and k >= 4:
                 return total
@@ -626,10 +634,10 @@ def _meijer_eval(spec: MeijerSpec, contour: ContourSpec, x, power: int):
         raise ContourViolation("argument x must be positive")
     if spec.decay_exponent > 0:
         lx_max = float(np.max(np.abs(np.log(x_arr))))
-        out = meijer_line(spec, contour, lx_max, power).eval(x_arr, contour.tol)[0]
+        out = meijer_line(spec, contour, lx_max, power).eval(x_arr)[0]
     elif spec.m == 1 and spec.n == 0 and spec.p < spec.q:
         _validate_contour(spec, contour)
-        out = _meijer_series(spec, x_arr, power, contour.tol)
+        out = _meijer_series(spec, x_arr, power)
     else:
         raise NonConvergent("no convergent evaluation route for this Meijer spec")
     return float(out[0]) if scalar else out

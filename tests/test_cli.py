@@ -1,4 +1,4 @@
-"""CLI harness tests: determinism, formats, exit codes, config handling."""
+"""CLI harness tests: determinism, formats, exit codes, worker settings."""
 
 import json
 import math
@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from wpl import cli
-from wpl.config import effective_workers, load_config, parse_config_text
 from wpl.errors import ConfigError
+from wpl.sampler import effective_workers
 
 
 def run_cli(args, tmp_path=None):
@@ -211,7 +211,7 @@ def test_kernel_overflowing_constant_is_numerical_failure():
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     # a non-WplError escaping a subcommand exits 3 with a one-line message
-    def broken(args, cfg):
+    def broken(args):
         raise ValueError("boom")
 
     monkeypatch.setattr(cli, "cmd_moments", broken)
@@ -238,27 +238,6 @@ def test_acceptance_perturbed_tolerance_fails():
     assert "[FAIL]" in res.stdout
 
 
-def test_config_file_parsing(tmp_path):
-    text = """
-[mc]
-workers = 2
-[quad]
-tol = 1e-10
-"""
-    pairs = parse_config_text(text)
-    assert pairs[("mc", "workers")] == 2
-    assert pairs[("quad", "tol")] == 1e-10
-    with pytest.raises(ConfigError):
-        parse_config_text("[mc]\nbogus = 1\n")
-    # keys nothing reads are rejected rather than silently ignored
-    with pytest.raises(ConfigError):
-        parse_config_text("[mc]\nseed = 7\n")
-    path = tmp_path / "cfg"
-    path.write_text(text)
-    cfg = load_config(str(path))
-    assert cfg.mc.workers == 2 and cfg.quad.tol == 1e-10
-
-
 def test_workers_env_cap(monkeypatch):
     monkeypatch.setenv("WPL_THREADS", "2")
     assert effective_workers(8) == 2
@@ -267,3 +246,30 @@ def test_workers_env_cap(monkeypatch):
         effective_workers(8)
     monkeypatch.delenv("WPL_THREADS")
     assert effective_workers(8) == 8
+
+
+@pytest.mark.parametrize("samples", ["5", "-3"])
+def test_charpoly_too_few_samples_is_config_error(samples):
+    # these drew 100 samples, printed samples=5 (or -3) and exited 0
+    res = run_cli(["charpoly", "--N", "3", "--lam", "1", "--samples", samples])
+    assert res.returncode == cli.EXIT_CONFIG_ERROR
+    assert "at least 100 samples" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["sample", "charpoly"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_nonpositive_workers_is_config_error(command, workers):
+    # these ran one worker and exited 0
+    res = run_cli([command, "--N", "3", "--samples", "100", "--workers", workers])
+    assert res.returncode == cli.EXIT_CONFIG_ERROR
+    assert "count >= 1" in res.stderr
+    assert res.stdout == ""
+
+
+def test_charpoly_overflowing_prefactor_is_numerical_failure():
+    # Π_j Γ(ν_j+N+1) = (300!)^2 at N = 300, r = 2; it exited 3 as an internal OverflowError
+    res = run_cli(["charpoly", "--N", "300", "--r", "2", "--lam", "1"])
+    assert res.returncode == cli.EXIT_NUMERICAL_FAILURE
+    assert "numerical failure: the charpoly prefactor" in res.stderr and "overflows float64" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -254,6 +254,22 @@ def test_kernel_contour_matches_laguerre_at_N100():
         fk.kernel_n(p, 5.0, 5.0)
 
 
+def test_overflowing_prefactors_raise():
+    # e^{log prefactor} past float64 raised a bare OverflowError
+    p = EnsembleParams(N=150, r=3, s=0, nu=(0, 0, 0))
+    with pytest.raises(NonConvergent, match="the P_149 prefactor = e\\^1800 overflows float64"):
+        fk.p_n(p, 149, 1.0)
+    with pytest.raises(NonConvergent, match="the charpoly prefactor = e\\^1815 overflows float64"):
+        fk.charpoly_exact(p, 1.0)
+    with pytest.raises(NonConvergent, match="the charpoly prefactor = e\\^1415 overflows float64 at N = 300"):
+        fk.charpoly_exact(EnsembleParams(N=300, r=1, s=0, nu=(0,)), 1.0)
+    # a prefactor in range can still overflow times the series: this printed -inf
+    with pytest.raises(NonConvergent, match="the charpoly value overflows float64 at N = 98"):
+        fk.charpoly_exact(EnsembleParams(N=98, r=2, s=0, nu=(0, 0)), 1.0)
+    # the normalized form carries no prefactor
+    assert math.isfinite(fk.charpoly_exact(p, 1.0, normalized=True))
+
+
 def test_kernel_contour_data_holds_no_point_state():
     # the line and circle are built once per system and shared by every call
     p = EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))

@@ -151,9 +151,9 @@ def test_pfq_vectorized():
 # --- meijer_g ------------------------------------------------------------
 
 
-def _spec_contour(m, n, p, q, a, b, **kw):
+def _spec_contour(m, n, p, q, a, b):
     spec = sf.MeijerSpec(m, n, p, q, tuple(a), tuple(b))
-    return spec, sf.ContourSpec.auto(spec, **kw)
+    return spec, sf.ContourSpec.auto(spec)
 
 
 def test_meijer_exponential_identity():
@@ -228,13 +228,27 @@ def _exp_line():
 def test_mellin_line_guard():
     s, w, log_f = _exp_line()
     x = np.array([0.5, 1.0, 2.0])
-    assert sf.MellinLine(s, w, log_f).eval(x, 1e-12)[0] == pytest.approx(np.exp(-x), rel=1e-11)
+    assert sf.MellinLine(s, w, log_f).eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-11)
     # a phase that breaks the conjugate symmetry of the nodes leaves an Im part
     with pytest.raises(InternalImaginaryResidue):
-        sf.MellinLine(s, w, log_f + 1e-3j).eval(x, 1e-12)
+        sf.MellinLine(s, w, log_f + 1e-3j).eval(x)
     # an overflowing integrand gives no number rather than inf or NaN
     with pytest.raises(NonConvergent):
-        sf.MellinLine(s, w, log_f + 800.0).eval(x, 1e-12)
+        sf.MellinLine(s, w, log_f + 800.0).eval(x)
+
+
+def test_mellin_line_guard_follows_dtype():
+    # a 1e-11 phase leaves Im ≈ 1e-11 e^{-x}: under the float64 guard
+    # (1e3 × 1e-12), over the longdouble one (1e-12 × the mass, 6.7e-13)
+    s, w, log_f = _exp_line()
+    x = np.array([0.5, 1.0, 2.0])
+    line = sf.MellinLine(s, w, log_f + 1e-11j)
+    assert line.tol == 1e-12
+    assert line.eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-10)
+    ld = sf.MellinLine(s.astype(np.clongdouble), w.astype(np.longdouble), (log_f + 1e-11j).astype(np.clongdouble))
+    assert ld.tol == sf.line_tol(np.longdouble) < line.tol
+    with pytest.raises(InternalImaginaryResidue):
+        ld.eval(x.astype(np.longdouble))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -244,9 +258,9 @@ def test_mellin_line_chunks_match_one_block(monkeypatch, dtype):
 
     line = fk.BiorthSystem(EnsembleParams(N=3, r=1, s=1, nu=(0,), mu=(0,)))._line("mid", dtype)
     x = np.geomspace(1e-5, 8.0, 3 * sf._CHUNK + 5).astype(dtype)
-    chunked = line.eval(x, 1e-12)
+    chunked = line.eval(x)
     monkeypatch.setattr(sf, "_CHUNK", len(x))
-    whole = line.eval(x, 1e-12)
+    whole = line.eval(x)
     assert chunked.dtype == whole.dtype == dtype
     # the sums only differ where BLAS rounds a block of columns differently
     scale = np.exp(np.max(line.log_mass) + np.max(line.c * np.log(x)))
@@ -374,10 +388,10 @@ def test_trapezoid_line_settles_on_exp():
     # G^{1,0}_{0,1}(x | 0) = e^{-x} on Re s = -1/2, settled at its probes
     spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
     probes = (1e-3, 1.0, 8.0)
-    line = sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, probes, 1e-13)
+    line = sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, probes)
     assert np.allclose(np.diff(line.u.imag), line.w[0])  # one step h, weights h
     x = np.concatenate([probes, np.geomspace(1e-3, 8.0, 23)[1:-1]])
-    assert np.max(np.abs(line.eval(x, 1e-13)[0] - np.exp(-x))) <= 1e-12
+    assert np.max(np.abs(line.eval(x)[0] - np.exp(-x))) <= 1e-12
 
 
 def test_trapezoid_line_near_pole_raises():
@@ -385,7 +399,7 @@ def test_trapezoid_line_near_pole_raises():
     # e^{-2π 1e-3 / h}, so the halving must stop at the node budget
     spec = sf.MeijerSpec(1, 0, 0, 1, (), (-0.499,))
     with pytest.raises(NonConvergent, match="unsettled"):
-        sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, (0.5, 1.0, 2.0), 1e-12)
+        sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, (0.5, 1.0, 2.0))
 
 
 # --- bessel_j ------------------------------------------------------------
