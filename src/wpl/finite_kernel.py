@@ -84,12 +84,28 @@ def _log_abs_c(params: EnsembleParams, l: int) -> float:
 def _log_gammas(params: EnsembleParams, u, lg=ln_gamma):
     """ln Γ(-u) Π_j Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u), ν_0 = 0: the gamma
     product of the Q_l lines, in the precision of the log-gamma lg."""
-    out = lg(-u)
+    return lg(-u) + _log_shared_gammas(params, u, lg)
+
+
+def _log_shared_gammas(params: EnsembleParams, u, lg=ln_gamma):
+    """ln Π_{j>=1} Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u): the factors of the
+    gamma product that every Q_l row carries whole."""
+    out = 0.0
     for nu in params.nu:
         out = out + lg(nu - u)
     for mu in params.mu:
         out = out + lg(1.0 + mu + params.N + u)
     return out
+
+
+def _q_log_rows(params: EnsembleParams, u: np.ndarray, lg=ln_gamma) -> np.ndarray:
+    """ln(|C_l| F_l(u)), rows l = 0..N-1, of the Q_l lines: the gamma product
+    with Γ(-u) replaced by Γ(-u)/Γ(-l-u) = (-u-1)(-u-2)...(-u-l), whose logs
+    one cumsum gives.  A row may differ from the log-gamma form by a
+    multiple of 2πi, which neither e^{row} nor its real part sees."""
+    steps = np.log(-u - np.arange(1, params.N)[:, None])
+    ratio = np.concatenate([np.zeros((1, len(u)), dtype=steps.dtype), np.cumsum(steps, axis=0)])
+    return _log_shared_gammas(params, u, lg) + ratio
 
 
 def _p_series(params: EnsembleParams, n: int) -> HypSeriesParams:
@@ -109,14 +125,19 @@ def _p_log_prefactor(params: EnsembleParams, n: int) -> float:
 
 def p_n(params: EnsembleParams, n: int, x):
     """Monic biorthogonal polynomial of degree n (terminating series form);
-    a prefactor beyond the float64 range raises NonConvergent."""
+    a prefactor or value beyond the float64 range raises NonConvergent."""
     if not 0 <= n <= params.N:
         raise DomainError(f"n must lie in 0..N, got {n}")
     sign = (-1.0) ** n
     pref = _exp_float64(f"the P_{n} prefactor", _p_log_prefactor(params, n), params)
-    arg = np.asarray(x, dtype=float) * (-1.0) ** params.s
-    series = pfq(_p_series(params, n), arg)
-    return sign * pref * series
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sign * pref * pfq(_p_series(params, n), x * (-1.0) ** params.s)
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        raise NonConvergent(f"P_{n} is not finite at x = {np.atleast_1d(x)[np.atleast_1d(bad)][0]:g}: "
+                            f"its series overflows float64 (N = {params.N})")
+    return value
 
 
 class ContourData(NamedTuple):
@@ -139,6 +160,8 @@ class BiorthSystem:
     the algebraic tail sits at the answer's own magnitude), and through the
     real saddle at -x^{1/r} when s = 0 (one line per bucket of ln x).  Each
     line is specfun.trapezoid_line, settled at probes spanning its x range.
+    Its rows share r + s log-gammas a node; Γ(-u)/Γ(-l-u) is the product
+    (-u-1)...(-u-l), whose logs one cumsum gives (`_q_log_rows`).
 
     The working precision follows the points given to q_matrix: longdouble
     points are evaluated in extended precision (Stirling log-gamma, and
@@ -194,7 +217,8 @@ class BiorthSystem:
         return -max(0.5, math.exp(regime) ** (1.0 / p.r)), tuple(math.exp(regime + d) for d in (-0.125, 0.0, 0.125))
 
     def _line(self, regime, dtype) -> MellinLine:
-        """The line of a regime in a working precision, built on first use."""
+        """The line of a regime in a working precision, built on first use:
+        rows ln F_l = _q_log_rows - ln |C_l|, with |C_l| in that precision."""
         if (regime, dtype) in self._lines:
             return self._lines[(regime, dtype)]
         p = self.params
@@ -204,7 +228,7 @@ class BiorthSystem:
         log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(_log_gammas(p, -(ls + 1).astype(dtype), lg))
 
         def log_f(u):
-            return _log_gammas(p, u, lg)[None, :] - lg(-ls[:, None] - u[None, :]) - log_abs_C[:, None]
+            return _q_log_rows(p, u, lg) - log_abs_C[:, None]
 
         line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), dtype)
         return line

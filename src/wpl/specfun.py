@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -420,10 +421,18 @@ class MellinLine:
     """Mellin-Barnes line sums (1/2π) Σ_i w_i F_l(u_i) x^{u_i}, one per row l.
 
     u are the nodes of a vertical line Re u = c, mirror-symmetric about the
-    real axis, w their weights and log_f the log F_l(u_i), one row per sum
-    (a 1-d log_f is one row).  `contract` puts any node x point matrix in
-    place of x^{u_i}.  The sums are evaluated in the precision of log_f:
-    complex128 or clongdouble, whose line_tol is the line's `tol`.
+    real axis (u[n-1-i] = conj(u[i]) exactly; `eval` raises ContourViolation
+    otherwise), w their weights and log_f the log F_l(u_i), one row per sum
+    (a 1-d log_f is one row).  `contract` puts any node x point
+    matrix in place of x^{u_i}.  The sums are evaluated in the precision of
+    log_f: complex128 or clongdouble, whose line_tol is the line's `tol`.
+
+    `eval` forms x^u on the upper half line only, the lower half being its
+    exact conjugate.  There the nodes are cut into blocks of about sqrt(n/2)
+    and x^{u_k} = x^{a_k} x^{u_k - a_k}, a_k the first node of u_k's block.
+    An offset u_k - a_k that recurs (as every one does on a trapezoid line
+    c + i(t0 + kh), whose offsets are exact multiples of h) costs one exp a
+    point for the whole line, so a 1153-node line takes 24 + 25 exps a point.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray, log_f: np.ndarray):
@@ -443,11 +452,33 @@ class MellinLine:
             with np.errstate(under="ignore"):
                 self.coeff = np.exp(self.log_f) * w / self.two_pi
 
+    @cached_property
+    def _upper_factors(self):
+        """The upper half line u[n//2:] as anchor + offset, in blocks of
+        ceil(sqrt(n/2)): the anchors, each node's anchor, the distinct
+        offsets and each node's offset.  Built on the first eval only, as
+        lines that are only contracted never need it."""
+        half = len(self.u) // 2
+        if not np.array_equal(self.u[:half], np.conj(self.u[len(self.u) - half:][::-1])):
+            raise ContourViolation("line nodes are not mirror-symmetric about the real axis")
+        upper = self.u[half:]
+        block = math.isqrt(len(upper) - 1) + 1
+        anchors, anchor_of = upper[::block], np.arange(len(upper)) // block
+        offsets, offset_of = np.unique(upper - anchors[anchor_of], return_inverse=True)
+        return anchors, anchor_of, offsets, offset_of
+
+    def _x_power(self, log_x: np.ndarray) -> np.ndarray:
+        """x^{u_i} at the points e^{log_x}, nodes x points, as anchor x offset
+        on the upper half line and mirrored onto the lower half."""
+        anchors, anchor_of, offsets, offset_of = self._upper_factors
+        upper = np.exp(np.outer(anchors, log_x))[anchor_of] * np.exp(np.outer(offsets, log_x))[offset_of]
+        return np.concatenate([np.conj(upper[::-1][: len(self.u) // 2]), upper])
+
     def eval(self, x: np.ndarray) -> np.ndarray:
         """The real parts of the sums at positive points x, rows x len(x)."""
         log_x = np.log(x)
         if self.coeff is not None:
-            return self.contract(lambda sl: np.exp(np.outer(self.u, log_x[sl])), self.c * log_x)
+            return self.contract(lambda sl: self._x_power(log_x[sl]), self.c * log_x)
         # fold x^u into the exponent so saddle-shifted lines stay in range
         return self._sum_blocks(
             lambda sl: np.array([self.w @ np.exp(lf[:, None] + np.outer(self.u, log_x[sl])) for lf in self.log_f])
@@ -544,7 +575,12 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     two_pi = 2 * pi_in(dtype)
 
     def probe_sums(u, lf):  # F_l(u) x_p^u / 2π, rows (l, p)
-        return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / two_pi
+        # e^{lf - top} x_p^{it} e^{top + c ln x_p}: (rows + probes) x nodes exps, not rows x probes x nodes;
+        # top, each row's peak, keeps the node factor within range wherever the sums are
+        top = np.max(np.real(lf), axis=1, keepdims=True)
+        scale = np.exp(top + c * log_x) / two_pi
+        return (np.exp(lf - top)[:, None, :] * np.exp(1j * np.multiply.outer(log_x, np.imag(u)))
+                * scale[:, :, None]).reshape(-1, len(u))
 
     u, w, lf = halving_trapezoid(lambda u: np.atleast_2d(log_f(u)), probe_sums, lambda t: c + 1j * t,
                                  lambda u: np.ones(len(u), dtype), -dtype(m), 2 * m, line_tol(dtype), dtype, rel)

@@ -193,6 +193,14 @@ def test_numerical_failure_exit_code():
     assert "nan" not in res.stdout
 
 
+def test_kernel_overflowing_polynomial_is_numerical_failure():
+    # P_n overflows float64 at x = 1e7, N = 60: the sum route raises, not K = nan
+    res = run_cli(["kernel", "--N", "60", "--r", "1", "--x", "1e7", "--y", "1", "--method", "sum"])
+    assert res.returncode == cli.EXIT_NUMERICAL_FAILURE
+    assert "is not finite at x = 1e+07" in res.stderr and "nan" not in res.stdout
+    assert "Traceback" not in res.stderr
+
+
 def test_density_failure_names_every_x():
     # x = 4.0 is the (1,0) soft edge, where the Stieltjes cross-check cannot converge
     res = run_cli(["density", "--r", "1", "--s", "0", "--grid", "0.5:6:12"])

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wpl.acceptance import _BIORTH_SETS
 from wpl.errors import CoincidentPoints, DomainError, NonConvergent
 from wpl.freeprob import EnsembleParams
 from wpl.sampler import RngStream
+from wpl.specfun import pi_in
 
 P11 = EnsembleParams(N=4, r=1, s=1, nu=(0,), mu=(0,))
 LAGUERRE = EnsembleParams(N=4, r=1, s=0, nu=(0,))
@@ -56,6 +58,12 @@ def test_p_n_is_monic_laguerre():
         for x in (0.5, 2.0):
             ref = monic * laguerre.Laguerre.basis(n)(x)
             assert fk.p_n(LAGUERRE, n, x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_p_n_overflow_raises():
+    # P_59(1e6) ~ 1e354 and P_59(1e7) overflows to NaN: no inf or NaN escapes
+    with pytest.raises(NonConvergent, match=r"P_59 is not finite at x = 1e\+06"):
+        fk.p_n(EnsembleParams(N=60, r=1, s=0, nu=(0,)), 59, [1e6, 1e7])
 
 
 def test_p_n_monic_by_finite_differences():
@@ -145,6 +153,56 @@ def test_q_mellin_moments_longdouble():
     nodes, w, _, q_mat = _hiprec.gram_quadrature(params, lo, hi)  # the grid of biorth_matrix
     assert q_mat.dtype == np.longdouble and len(nodes) <= 1000
     assert moment_error(nodes, w, q_mat, mellin_moments(params)) < 1e-11
+
+
+@pytest.mark.parametrize("N", [6, 40, 100])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_q_rows_product_matches_log_gamma_rows(N, dtype):
+    # ln Γ(-u)/Γ(-l-u) as a sum of ln(-u-k): the same real parts, and the
+    # same imaginary parts mod 2π, on the mid and deep lines
+    params = EnsembleParams(N=N, r=2, s=1, nu=(0, 1), mu=(0,))
+    lg = _hiprec.lngamma if dtype == np.longdouble else fk.ln_gamma
+    ls = np.arange(N)[:, None]
+    for c in (-0.5, -(N + 0.5)):
+        u = c + 1j * np.arange(-60.0, 60.25, 0.25).astype(dtype)
+        rows = fk._q_log_rows(params, u, lg)
+        ref = fk._log_gammas(params, u, lg) - lg(-ls - u)
+        tol = 1e3 * np.finfo(dtype).eps * (1.0 + np.abs(lg(-u)) + np.abs(lg(-ls - u)))
+        assert np.all(np.abs(rows.real - ref.real) <= tol)
+        two_pi = 2 * pi_in(dtype)
+        turns = (rows.imag - ref.imag) / two_pi
+        assert np.all(np.abs(turns - np.round(turns)) * two_pi <= tol)
+
+
+@lru_cache(maxsize=None)
+def mpmath_q(params, l, x):
+    """Q_l(x) as a 25-digit string: mpmath's G of q_l_meijer_spec over |C_l|."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        spec = fk.q_l_meijer_spec(params, l)
+        abs_c = math.prod(math.factorial(k) for k in (l, *(v + l for v in params.nu),
+                                                         *(m + params.N - l - 1 for m in params.mu)))
+        g = mpmath.meijerg([spec.a[: spec.n], spec.a[spec.n:]], [spec.b[: spec.m], spec.b[spec.m:]], x)
+        return mpmath.nstr(g / abs_c, 25)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_q_l_matches_mpmath_on_every_line(dtype):
+    # the mid line (x <= 8), the deep line (s >= 1) and saddle lines (s = 0)
+    # against mpmath to 1e3 eps x the line's unsigned mass
+    xs = (0.01, 0.5, 3.0, 20.0, 60.0)
+    for params in (_BIORTH_SETS[1], EnsembleParams(N=6, r=2, s=0, nu=(0, 1))):
+        system = fk.BiorthSystem(params)
+        q = system.q_matrix(np.array(xs, dtype=dtype))
+        for j, x in enumerate(xs):
+            if x <= fk._X_DEEP:
+                line = system._line("mid", dtype)
+            else:
+                line = system._line("deep" if params.s else float(np.round(4.0 * np.log(x)) / 4.0), dtype)
+            mass = np.exp(line.log_mass + line.c * np.log(dtype(x)))
+            for l in range(params.N):
+                ref = dtype(mpmath_q(params, l, x))
+                assert abs(q[l, j] - ref) <= 1e3 * np.finfo(dtype).eps * mass[l], (params, l, x)
 
 
 def residue_cluster_oracle(params, l, x, k_max=40, m_nodes=64, radius=0.3):

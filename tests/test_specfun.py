@@ -267,6 +267,40 @@ def test_mellin_line_chunks_match_one_block(monkeypatch, dtype):
     assert np.max(np.abs(chunked - whole)) <= 64 * np.finfo(dtype).eps * scale
 
 
+def assert_eval_matches_direct_exp(line, x):
+    """eval (x^u as anchor x offset, mirrored) against one exp per node and point."""
+    direct = np.real(line.coeff @ np.exp(np.outer(line.u, np.log(x))))
+    mass = np.exp(line.log_mass[:, None] + line.c * np.log(x))
+    assert np.all(np.abs(line.eval(x) - direct) <= sf._LINE_ROUNDING * np.finfo(x.dtype).eps * mass)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("regime", ["mid", "deep", "saddle"])
+def test_mellin_line_eval_matches_direct_exp(dtype, regime):
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    if regime == "saddle":
+        line = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=0, nu=(0, 1)))._line(4.0, dtype)
+    else:
+        line = fk.BiorthSystem(EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)))._line(regime, dtype)
+    assert len(np.unique(np.diff(line.u.imag))) == 1  # a trapezoid line
+    assert_eval_matches_direct_exp(line, np.geomspace(1e-28, 1e18, 93).astype(dtype))
+
+
+def test_meijer_line_eval_matches_direct_exp():
+    # Gauss-Legendre panels repeat no offset: x^u costs one exp per upper node
+    spec = sf.MeijerSpec(2, 0, 0, 3, (), (0.0, 1.0, 0.0))
+    x = np.geomspace(1e-28, 1e18, 93)
+    assert_eval_matches_direct_exp(sf.meijer_line(spec, sf.ContourSpec.auto(spec), float(np.max(np.abs(np.log(x))))), x)
+
+
+def test_mellin_line_rejects_unmirrored_nodes():
+    s, w, log_f = _exp_line()
+    with pytest.raises(ContourViolation):
+        sf.MellinLine(s + np.linspace(0.0, 1e-9, len(s)), w, log_f).eval(np.array([1.0]))
+
+
 def test_meijer_vs_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
@@ -392,6 +426,36 @@ def test_trapezoid_line_settles_on_exp():
     assert np.allclose(np.diff(line.u.imag), line.w[0])  # one step h, weights h
     x = np.concatenate([probes, np.geomspace(1e-3, 8.0, 23)[1:-1]])
     assert np.max(np.abs(line.eval(x)[0] - np.exp(-x))) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_trapezoid_line_settles_as_with_folded_probe_sums(dtype):
+    # the probe sums as e^{ln F - top} x^{it} e^{top + c ln x} stop the
+    # halving at the same h as one exp per row, probe and node
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    lg = sf.ln_gamma if dtype == np.float64 else fk._hiprec.lngamma
+    for params, regime in ((EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)), "mid"),
+                           (EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)), "deep"),
+                           (EnsembleParams(N=10, r=2, s=0, nu=(0, 1)), 4.0),
+                           (EnsembleParams(N=10, r=2, s=0, nu=(0, 1)), 10.0)):
+        system = fk.BiorthSystem(params)
+        log_c = np.real(fk._log_gammas(params, -np.arange(1, params.N + 1).astype(dtype), lg))
+        c, probes = system._geometry(regime)
+        log_x = np.log(np.asarray(probes, dtype=dtype))
+
+        def log_f(u):
+            return fk._q_log_rows(params, u, lg) - log_c[:, None]
+
+        def folded(u, lf):
+            return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / (2 * sf.pi_in(dtype))
+
+        m = sf.end_decay_height(log_f, c, dtype)
+        u, _, _ = sf.halving_trapezoid(log_f, folded, lambda t: c + 1j * t, lambda u: np.ones(len(u), dtype),
+                                       -dtype(m), 2 * m, sf.line_tol(dtype), dtype,
+                                       sf._LINE_ROUNDING * float(np.finfo(dtype).eps))
+        assert np.array_equal(system._line(regime, dtype).u, u)
 
 
 def test_trapezoid_line_near_pole_raises():
