@@ -196,13 +196,12 @@ def cmd_kernel(args) -> int:
     params = _ensemble_from_args(args)
     xs = _parse_x_values(args.x)
     ys = _parse_x_values(args.y)
-    rows = []
-    for x in xs:
-        for y in ys:
-            if args.method in ("sum", "both"):
-                rows.append((x, y, fk.kernel_n(params, x, y).value, "biorth_sum"))
-            if args.method in ("contour", "both"):
-                rows.append((x, y, fk.kernel_n_contour(params, x, y).value, "double_contour"))
+    grids = []
+    if args.method in ("sum", "both"):
+        grids.append((fk.biorth_system(params).kernel_matrix(xs, ys), "biorth_sum"))
+    if args.method in ("contour", "both"):
+        grids.append((fk.kernel_n_contour_grid(params, xs, ys), "double_contour"))
+    rows = [(x, y, float(g[i, j]), m) for i, x in enumerate(xs) for j, y in enumerate(ys) for g, m in grids]
     meta = {"params": params, "method": args.method}
     write_table(args.out, ["x", "y", "K", "method"], rows, meta, args.format)
     return EXIT_OK
@@ -211,7 +210,6 @@ def cmd_kernel(args) -> int:
 def cmd_hardedge(args) -> int:
     nu = _parse_ints(args.nu) if args.nu is not None else (0,) * args.r
     params = HardEdgeParams(r=args.r, nu=nu)
-    rows = []
     header = ["x", "y", "K", "method"]
     if args.diag:
         lo, hi, n = _parse_x_grid(args.diag)
@@ -229,14 +227,13 @@ def cmd_hardedge(args) -> int:
     else:
         xs = _parse_x_values(args.x)
         ys = _parse_x_values(args.y)
+        grids = []
         if args.method in ("integral", "both"):
-            grid = he.k_hard_grid(params, xs, ys)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if args.method in ("integral", "both"):
-                    rows.append((x, y, float(grid[i, j]), "integral"))
-                if args.method in ("cd", "both"):
-                    rows.append((x, y, he.k_hard_cd(params, x, y).value, "christoffel_darboux"))
+            grids.append((he.k_hard_grid(params, xs, ys), "integral"))
+        if args.method in ("cd", "both"):
+            cd = [[he.k_hard_cd(params, x, y).value for y in ys] for x in xs]
+            grids.append((np.array(cd), "christoffel_darboux"))
+        rows = [(x, y, float(g[i, j]), m) for i, x in enumerate(xs) for j, y in enumerate(ys) for g, m in grids]
     meta = {"r": args.r, "nu": nu, "method": args.method}
     write_table(args.out, header, rows, meta, args.format)
     return EXIT_OK
@@ -270,6 +267,8 @@ def cmd_bulk(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    if not 0.0 < args.tol_scale <= 1.0:  # a scale above 1, or NaN, would loosen the checks
+        raise ConfigError(f"--tol-scale must lie in (0, 1], got {args.tol_scale!r}")
     if args.list:
         for name in acc.ALL_CHECKS:
             print(name)
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list check names without running")
     p.add_argument("--only", nargs="*", choices=list(acc.ALL_CHECKS), help="subset of check names")
     p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="scale statistical tolerances (0.01 demonstrates failures)")
+                   help="scale statistical tolerances by a factor in (0, 1] (0.01 demonstrates failures)")
     p.add_argument("--json", help="write machine-readable report here")
     p.set_defaults(fn=cmd_acceptance)
 

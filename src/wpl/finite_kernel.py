@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +23,8 @@ from . import _hiprec
 from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
-    ContourSpec, HypSeriesParams, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line, ln_gamma,
-    ln_trapezoid, meijer_g, pfq, trapezoid_line,
+    ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line,
+    kernel_pairs, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -40,13 +40,6 @@ _CIRCLE_BLOCK = 64
 # Q_l to cancellation, and the trapezoid error of a jump falls only like h.
 _TRACE_TOL = 1e-9
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
-class KernelEval(NamedTuple):
-    x: float
-    y: float
-    value: float
-    method: str
 
 
 class PdfValue(NamedTuple):
@@ -316,60 +309,66 @@ def kernel_n(params: EnsembleParams, x: float, y: float) -> KernelEval:
     return KernelEval(x=x, y=y, value=val, method="biorth_sum")
 
 
-def kernel_n_contour(params: EnsembleParams, x: float, y: float) -> KernelEval:
-    """Correlation kernel (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du.
+def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """K(pts[ix], pts[iy]) = (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du
+    for pairs that include every (p, p).
 
     The line and circle are BiorthSystem.contour, built once per parameter
-    set; a call forms only the circle sums at its points.  Those for the
-    lower half line are the conjugates of the upper half's (the circle is
-    mirror-symmetric and G conjugate on it), so only the upper half is
-    summed.  One MellinLine.contract over the whole line gives (x, y),
-    (x, x) and (y, y), and check_kernel_loss holds eps × the node-wise mass
-    to its budget.  A line whose coefficients overflow raises before any
-    circle sum.
+    set; a call forms the circle sums C(u_i, x) and y^{u_i} once per distinct
+    point.  The circle sums for the lower half line are the conjugates of the
+    upper half's (the circle is mirror-symmetric and G conjugate on it), so
+    only the upper half is summed.  One MellinLine.contract takes C(u_i, x)
+    y^{u_i} for every pair, and check_kernel_loss holds eps × the node-wise
+    mass to its budget.  A line whose coefficients overflow raises before any circle sum.
     """
-    if not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0):
-        raise DomainError("kernel_n_contour requires finite x, y > 0")
     line, tcirc, log_g, weight = biorth_system(params).contour
     if line.coeff is None:  # as contract would raise, after the circle sums
         raise NonConvergent("Mellin-Barnes line coefficients overflow")
-    pts = np.array([x, y])
-    g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * weight  # rows x, y
+    log_pts = np.log(pts)
+    g = np.exp(log_pts[:, None] * tcirc + log_g) * weight  # rows: points
 
-    # circle sums for x and y and their unsigned masses on the upper half
-    # line, by blocks of circle nodes
+    # circle sums and their unsigned masses on the upper half line, by
+    # blocks of circle nodes
     half = len(line.u) // 2
     pole = -line.u[half:] - 1.0  # of the Cauchy factor, in t
-    circ = np.zeros((half, 2), dtype=complex)
-    circ_abs = np.zeros((half, 2))
+    circ = np.zeros((half, len(pts)), dtype=complex)
+    circ_abs = np.zeros((half, len(pts)))
     for lo in range(0, len(tcirc), _CIRCLE_BLOCK):
-        cauchy = 1.0 / (pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK])
+        cauchy = pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK]
+        np.reciprocal(cauchy, out=cauchy)  # in place: this division is most of a 1 x 1 call
         circ += cauchy @ g[:, lo : lo + _CIRCLE_BLOCK].T
         circ_abs += np.abs(cauchy) @ np.abs(g[:, lo : lo + _CIRCLE_BLOCK]).T
     circ = np.concatenate([np.conj(circ[::-1]), circ])  # node i mirrors node len(u) - 1 - i
     circ_abs = np.concatenate([circ_abs[::-1], circ_abs])
 
-    ix, iy = np.array([0, 0, 1]), np.array([1, 0, 1])  # pairs (x, y), (x, x), (y, y)
-    basis = np.exp(np.outer(line.u, np.log(pts[iy]))) * circ[:, ix]
-    node_mass = pts[iy] ** _Q_ABSCISSA * circ_abs[:, ix]  # bounds |basis|
+    y_u = line._x_power(log_pts)
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
-        vals = line.contract(lambda sl: basis[:, sl], np.log(np.max(node_mass, axis=0)))[0]
-    mass = np.abs(line.coeff[0]) @ node_mass
-    check_kernel_loss("double contour", np.log(mass), vals, pts, ix, iy)
-    return KernelEval(x=x, y=y, value=float(vals[0]), method="double_contour")
+        log_circ = np.log(np.max(circ_abs, axis=0))  # with y^{-1/2}, bounds |C(u_i, x) y^{u_i}|
+        vals = line.contract(lambda sl: circ[:, ix[sl]] * y_u[:, iy[sl]], (_Q_ABSCISSA * log_pts)[iy] + log_circ[ix])[0]
+        log_mass = np.log(np.abs(line.coeff[0]) @ circ_abs)  # per point x, without y^{-1/2}
+    check_kernel_loss("double contour", (_Q_ABSCISSA * log_pts)[iy] + log_mass[ix], vals, pts, ix, iy)
+    return vals
+
+
+def kernel_n_contour_grid(params: EnsembleParams, xs, ys) -> np.ndarray:
+    """The double-contour kernel K_N(x_i, y_j) on a grid, rows x_i (see _contour_pairs)."""
+    return kernel_pairs(partial(_contour_pairs, params), *np.ix_(xs, ys))
+
+
+def kernel_n_contour(params: EnsembleParams, x: float, y: float) -> KernelEval:
+    """The double-contour kernel at one point: a 1 x 1 kernel_n_contour_grid."""
+    value = float(kernel_n_contour_grid(params, [x], [y])[0, 0])
+    return KernelEval(x=x, y=y, value=value, method="double_contour")
 
 
 def rho_k(params: EnsembleParams, points) -> CorrelationResult:
-    """k-point correlation det[K_N(x_i, x_j)] for distinct positive points."""
+    """k-point correlation det[K_N(x_i, x_j)] by the double contour, for distinct positive points."""
     pts = tuple(float(p) for p in points)
     if len(pts) > params.N:
         raise DomainError("k cannot exceed N")
-    if any(p <= 0 for p in pts):
-        raise DomainError("points must be positive")
     if len(set(pts)) != len(pts):
         raise DomainError("points must be distinct")
-    arr = np.asarray(pts)
-    kmat = biorth_system(params).kernel_matrix(arr, arr)
+    kmat = kernel_n_contour_grid(params, pts, pts)
     return CorrelationResult(points=pts, rho_k=float(np.linalg.det(kmat)))
 
 

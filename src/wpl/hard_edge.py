@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
 from .errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
-from .specfun import ContourSpec, HypSeriesParams, MeijerSpec, bessel_j, check_kernel_loss, gl_panels, meijer_line, pfq
+from .specfun import (
+    ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, bessel_j, check_kernel_loss, gl_panels, kernel_pairs,
+    meijer_line, pfq,
+)
 
 
 @dataclass(frozen=True)
@@ -34,13 +37,6 @@ class HardEdgeParams:
             raise DomainError("hard edge requires r >= 1")
         if len(self.nu) != self.r or any(v < 0 for v in self.nu):
             raise DomainError("nu must have length r with nonnegative entries")
-
-
-class HardKernelEval(NamedTuple):
-    x: float
-    y: float
-    value: float
-    method: str
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -178,42 +174,25 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
 
 
 def _kernel_pairs(params: HardEdgeParams, x, y) -> np.ndarray:
-    """K(x_p, y_p) for positive point arrays x, y of one length."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
-        raise DomainError("the hard-edge kernel requires finite x, y > 0")
-    pts, inv = np.unique(np.concatenate([x, y]), return_inverse=True)
-    n, d = len(x), np.arange(len(pts))
-    # the diagonal pairs come along: the Mellin route scales its loss by them
-    ix, iy = np.concatenate([inv[:n], d]), np.concatenate([inv[n:], d])
-    if params.r == 1:
-        vals = _bessel_pairs(params, pts, ix, iy)
-    else:
-        vals = _mellin_pairs(params, pts, ix, iy)
-    return vals[:n]
+    """K_hard on broadcast point arrays x, y (specfun.kernel_pairs): r >= 2 contracts one
+    Mellin-Barnes line with the 0F_r series (see _mellin_pairs); r = 1, whose line does not
+    decay, integrates the two Bessel factors over u."""
+    return kernel_pairs(partial(_bessel_pairs if params.r == 1 else _mellin_pairs, params), x, y)
 
 
 def k_hard_grid(params: HardEdgeParams, xs, ys) -> np.ndarray:
-    """K_hard(x_i, y_j) on a grid, rows x_i (independent of s and of mu).
-
-    r >= 2 contracts one Mellin-Barnes line with the 0F_r series (see
-    _mellin_pairs); r = 1, whose line does not decay, integrates the two
-    Bessel factors over u.
-    """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return _kernel_pairs(params, gx.ravel(), gy.ravel()).reshape(len(xs), len(ys))
+    """K_hard(x_i, y_j) on a grid, rows x_i (independent of s and of mu; see _kernel_pairs)."""
+    return _kernel_pairs(params, *np.ix_(xs, ys))
 
 
-def k_hard(params: HardEdgeParams, x: float, y: float) -> HardKernelEval:
+def k_hard(params: HardEdgeParams, x: float, y: float) -> KernelEval:
     """Hard-edge kernel at one point: a 1 x 1 k_hard_grid."""
     value = float(k_hard_grid(params, [x], [y])[0, 0])
-    return HardKernelEval(x=x, y=y, value=value, method="integral")
+    return KernelEval(x=x, y=y, value=value, method="integral")
 
 
 def k_hard_diag(params: HardEdgeParams, xs: np.ndarray) -> np.ndarray:
     """K_hard(x, x) on a grid of points."""
-    xs = np.asarray(xs, dtype=float)
     return _kernel_pairs(params, xs, xs)
 
 
@@ -224,7 +203,7 @@ def bessel_density(a: int, x) -> np.ndarray:
     return bessel_j(float(a), z) ** 2 - bessel_j(float(a + 1), z) * bessel_j(float(a - 1), z)
 
 
-def k_hard_cd(params: HardEdgeParams, x: float, y: float) -> HardKernelEval:
+def k_hard_cd(params: HardEdgeParams, x: float, y: float) -> KernelEval:
     """Generalized Christoffel-Darboux form (all ν_j = 0):
 
     K = (-1)^{r+1} Σ_{j=0}^r (-1)^j Δ_x^j f(x) Δ_y^{r-j} g(y) / (x - y),
@@ -244,7 +223,7 @@ def k_hard_cd(params: HardEdgeParams, x: float, y: float) -> HardKernelEval:
         fj = float(_g10_series(params, xa, power=j)[0])
         total += (-1.0) ** j * fj * float(g[r - j])
     value = (-1.0) ** (r + 1) * total / (x - y)
-    return HardKernelEval(x=x, y=y, value=value, method="christoffel_darboux")
+    return KernelEval(x=x, y=y, value=value, method="christoffel_darboux")
 
 
 def charpoly_hard_limit(params: HardEdgeParams, lam: float) -> float:

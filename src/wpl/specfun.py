@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -546,6 +546,26 @@ def check_kernel_loss(what: str, log_mass: np.ndarray, vals: np.ndarray, pts: np
         raise NonConvergent(
             f"{what} loses too much at (x, y) = ({pts[ix[worst]]:g}, {pts[iy[worst]]:g}): "
             f"estimated error {loss[worst]:.1e} of sqrt(K(x,x) K(y,y))")
+
+
+class KernelEval(NamedTuple):
+    x: float
+    y: float
+    value: float
+    method: str
+
+
+def kernel_pairs(pair_values, x, y) -> np.ndarray:
+    """K(x, y) on broadcast point arrays x, y (a grid from np.ix_(xs, ys)) by
+    pair_values(pts, ix, iy) = K(pts[ix], pts[iy]), pts the distinct points."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
+        raise DomainError("the kernel requires finite x, y > 0")
+    pts, inv = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
+    n, d = x.size, np.arange(len(pts))
+    # the diagonal pairs come along: check_kernel_loss scales its loss by them
+    ix, iy = np.concatenate([inv[:n], d]), np.concatenate([inv[n:], d])
+    return pair_values(pts, ix, iy)[:n].reshape(x.shape)
 
 
 def end_decay_height(log_f, c: float, dtype=np.float64) -> int:

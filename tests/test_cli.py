@@ -246,6 +246,14 @@ def test_acceptance_perturbed_tolerance_fails():
     assert "[FAIL]" in res.stdout
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "2", "nan", "inf"])
+def test_acceptance_tol_scale_outside_unit_interval_is_config_error(scale, capsys):
+    # the scale may only tighten: 1e9 passed every statistical check, nan printed tol=nan
+    code = cli.main(["acceptance", "--only", "04_arcsine_spectrum", f"--tol-scale={scale}"])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert "--tol-scale must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_workers_env_cap(monkeypatch):
     monkeypatch.setenv("WPL_THREADS", "2")
     assert effective_workers(8) == 2

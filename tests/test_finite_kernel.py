@@ -1,6 +1,7 @@
 """Finite-N biorthogonal machinery tests."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -386,6 +387,58 @@ def test_kernel_contour_loss_rule_not_too_pessimistic():
     value = fk.kernel_n_contour(EnsembleParams(N=20, r=1, s=0, nu=(0,)), 20.0, 20.0).value
     ref = sum(scipy.special.eval_laguerre(l, 20.0) ** 2 for l in range(20)) * math.exp(-20.0)
     assert abs(value - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("params", [EnsembleParams(N=5, r=1, s=1, nu=(0,), mu=(0,)),
+                                    EnsembleParams(N=5, r=2, s=0, nu=(0, 1))], ids=["r1s1", "r2s0"])
+def test_kernel_contour_grid_matches_points(params):
+    # check 07's sets: one grid call against 1 x 1 calls and the sum route
+    xs, ys = np.random.default_rng(7).uniform(0.3, 3.0, (2, 5))
+    grid = fk.kernel_n_contour_grid(params, xs, ys)
+    points = np.array([[fk.kernel_n_contour(params, x, y).value for y in ys] for x in xs])
+    diag = [np.array([fk.kernel_n_contour(params, v, v).value for v in pts]) for pts in (xs, ys)]
+    assert np.all(np.abs(grid - points) <= 1e-12 * np.sqrt(np.abs(np.outer(*diag))))
+    np.testing.assert_allclose(grid, fk.biorth_system(params).kernel_matrix(xs, ys), rtol=1e-8)
+
+
+@pytest.mark.parametrize("params, x", [(P11_N10, 10.0), (P11_N10, 12.0), (P22_N10, 3.0), (P22_N10, 5.0),
+                                       (EnsembleParams(N=40, r=1, s=0, nu=(0,)), 30.0)],
+                         ids=["r1s1-x10", "r1s1-x12", "r2s2-x3", "r2s2-x5", "laguerre40-x30"])
+def test_kernel_contour_grid_raises_at_its_worst_pair(params, x):
+    # the loss comes from the circle sums at x, so the worst pair is (x, .);
+    # the 1 x 1 call at that pair gives the same estimate
+    with pytest.raises(NonConvergent, match=rf"at \(x, y\) = \({x:g}, ") as grid_error:
+        fk.kernel_n_contour_grid(params, [0.5, x], [x, 1.0])
+    pair = re.search(r"= \((\S+), (\S+)\)", str(grid_error.value)).groups()
+    with pytest.raises(NonConvergent) as point_error:
+        fk.kernel_n_contour(params, *map(float, pair))
+    assert str(point_error.value) == str(grid_error.value)
+    assert np.all(np.isfinite(fk.kernel_n_contour_grid(params, [0.5], [1.0])))
+
+
+def test_kernel_contour_grid_memory_bounded():
+    # circle sums and y^u are held per distinct point: 400 points take about 84 MiB
+    p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
+    xs, ys = np.linspace(0.5, 20.0, 200), np.linspace(0.25, 19.75, 200)
+    tracemalloc.start()
+    try:
+        grid = fk.kernel_n_contour_grid(p, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    lx, ly = (np.array([scipy.special.eval_laguerre(l, v) for l in range(40)]) for v in (xs, ys))
+    scale = np.sqrt(np.outer((lx * lx).sum(axis=0) * np.exp(-xs), (ly * ly).sum(axis=0) * np.exp(-ys)))
+    assert np.all(np.abs(grid - (lx.T @ ly) * np.exp(-ys)) <= 1e-8 * scale)
+
+
+def test_rho_k_matches_laguerre_at_N40():
+    # the sum route's kernel_matrix gave 0.264937 here, 1.7e-3 off, and raised nothing
+    p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
+    pts = np.array([10.0, 20.0])
+    lag = np.array([scipy.special.eval_laguerre(l, pts) for l in range(40)])
+    ref = np.linalg.det((lag.T @ lag) * np.exp(-pts))
+    assert fk.rho_k(p, pts).rho_k == pytest.approx(ref, rel=1e-11)
 
 
 def test_kernel_asymmetry_and_det_symmetry():
