@@ -32,8 +32,18 @@ _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
 # the -1/2 line starts to lose digits to cancellation
 _X_DEEP = 8.0
 # circle nodes per block of kernel_n_contour's line x circle matrices, so their
-# memory grows like the line alone; 512-node blocks ran 2-3x slower
+# memory grows like the line alone: one whole block is 7-12% faster, but takes
+# a 1 x 1 call's peak from 3.2 to 16 MiB at N = 40 and from 4.6 to 37 MiB at
+# N = 100 (tracemalloc)
 _CIRCLE_BLOCK = 64
+# the constants of kernel_n_contour's circle rule (_graded_circle): the error
+# of its clustered share falls like e^{-_CIRCLE_DECAY}, and its uniform share
+# has _CIRCLE_SPREAD + _CIRCLE_GROWTH max(r - 1, 0) R nodes.  Against a uniform
+# rule of 120 N nodes, K to 1e-13 of itself needs up to 32 uniform nodes at
+# r = 1 (x = 0.01), 96 at (40,2,0) and 192 at (40,3,0), with a decay of 30
+_CIRCLE_DECAY = 36.0
+_CIRCLE_SPREAD = 32.0
+_CIRCLE_GROWTH = 5.0
 # settling tolerance of the float64 ln-x trapezoid grid, on the trace
 # ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
 # where q_matrix leaves the -1/2 line, that line has lost up to 2.3e-9 of
@@ -142,6 +152,46 @@ class ContourData(NamedTuple):
     weight: np.ndarray  # trapezoid factors of dt/(2πi) at t_j
 
 
+def _graded_circle(radius: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes e^{iθ_j} of the unit circle and the factors of dt/(2πi) at
+    t_j = center + radius e^{iθ_j}: the trapezoid rule in φ, φ_j = 2πj/m,
+    under the map θ(φ) that inverts
+
+        φ = a θ + (1 - a) arctan(tan θ / κ),   κ = sqrt(2 · gap / radius),
+
+    gap = 1/4, the distance from the circle to the poles t = 0 and N - 1
+    and to the line.  The arctan share puts a Möbius-type cluster of width
+    κ at θ = 0 and θ = π: a pole at distance δ along the circle and gap +
+    radius δ²/2 off it (the line's Cauchy poles -u - 1; the row of poles
+    of G inward) then lies at least κ/2 from the real φ axis, so that
+    share's error falls like e^{-m_T κ / 2} with m_T = 2 _CIRCLE_DECAY / κ
+    nodes, about 72 sqrt(N); a uniform rule needs m ∝ N.  The uniform
+    share a keeps the middle of the circle resolved, where the circle
+    terms x^t G(t) grow with r and radius.  The nodes are exact conjugate
+    mirrors, node m - j of node j, with θ = 0 and π exactly real.
+    """
+    kappa = min(1.0, math.sqrt(0.5 / radius))  # at N = 1 (radius 1/4) a uniform rule
+    clustered = 2.0 * _CIRCLE_DECAY / kappa
+    m = 2 * math.ceil(0.5 * (clustered + _CIRCLE_SPREAD + _CIRCLE_GROWTH * max(r - 1, 0) * radius))
+    share = 1.0 - clustered / m
+
+    def dphi(theta):  # dφ/dθ
+        return share + (1.0 - share) * kappa / ((kappa * np.cos(theta)) ** 2 + np.sin(theta) ** 2)
+
+    # θ_j on the upper half circle by bisection (φ(θ) increases from 0 to π)
+    phi = 2.0 * math.pi * np.arange(1, m // 2) / m
+    lo, hi = np.zeros_like(phi), np.full_like(phi, math.pi)
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        below = share * mid + (1.0 - share) * np.arctan2(np.sin(mid), kappa * np.cos(mid)) < phi
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    theta = 0.5 * (lo + hi)
+    upper = np.exp(1j * theta)
+    turn = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
+    step, inner = 1.0 / dphi(np.array([0.0])), 1.0 / dphi(theta)  # dθ/dφ, the same at θ = 0 and π
+    return turn, turn * np.concatenate([step, inner, step, inner[::-1]]) * (radius / m)
+
+
 class BiorthSystem:
     """Precomputed contour data for the Q_l family and kernel sums.
 
@@ -180,8 +230,10 @@ class BiorthSystem:
         F is the Q lines' gamma product with l = N, unnormalised, on Re u =
         -1/2 up to the end-decay height (Gauss-Legendre panels); G(t) =
         Γ(t - N + 1) over that product at u = -t - 1, on a circle around
-        t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4, m = max(256, 80 N)
-        trapezoid nodes) at least 1/4 from the line.
+        t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4) at least 1/4 from the
+        line.  The circle's nodes are graded (`_graded_circle`): densest at
+        t = -1/4 and N - 3/4, where it passes the poles t = 0 and N - 1 and
+        the line's Cauchy poles, 1/4 away.
         """
         p, N = self.params, self.params.N
 
@@ -190,14 +242,11 @@ class BiorthSystem:
 
         tnodes, w = gl_line(end_decay_height(log_f, _Q_ABSCISSA), np.polynomial.legendre.leggauss(48))
         u = _Q_ABSCISSA + 1j * tnodes
-        m_nodes = max(256, 80 * N)
         radius = 0.5 * N - 0.25
-        # e^{2πij/m} on the upper half circle, mirrored; 1 and -1 exactly real
-        upper = np.exp(2j * math.pi * np.arange(1, m_nodes // 2) / m_nodes)
-        turn = np.concatenate([[1.0], upper, [-1.0], np.conj(upper[::-1])])
+        turn, weight = _graded_circle(radius, p.r)
         tcirc = 0.5 * (N - 1) + radius * turn
         log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0)
-        return ContourData(MellinLine(u, w, log_f(u)), tcirc, log_g, turn * (radius / m_nodes))
+        return ContourData(MellinLine(u, w, log_f(u)), tcirc, log_g, weight)
 
     def _geometry(self, regime):
         """Abscissa and probe points of a regime's line."""

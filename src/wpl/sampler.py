@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AlreadyScaled, ConfigError, DomainError, EmptySample, NumericalSingularity
 from .freeprob import EnsembleParams
@@ -119,6 +118,8 @@ def sample_product_spectrum(params: EnsembleParams, rng: RngStream) -> SpectrumS
     triangular solve and an SVD of T, never from T†T, whose condition
     number is the square of T's.
     """
+    import scipy.linalg  # here, not at module level: it is most of wpl's import time
+
     R_A, R_B = (R[0] for R in _chains(rng.generator(), params, 1))
     T = R_A if params.s == 0 else scipy.linalg.solve_triangular(R_B, R_A.conj().T, trans="C")
     eig = np.sort(np.linalg.svd(T, compute_uv=False) ** 2)

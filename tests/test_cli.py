@@ -21,6 +21,14 @@ def run_cli(args, tmp_path=None):
     )
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg, sampler's one scipy use, cost half of wpl.cli's import time
+    code = "import sys, wpl.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_sample_byte_identical_reruns(tmp_path):
     args = [
         "sample", "--r", "2", "--s", "1", "--N", "6", "--nu", "0,0", "--mu", "0",

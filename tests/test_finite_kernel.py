@@ -313,6 +313,35 @@ def test_kernel_contour_matches_laguerre_at_N100():
         fk.kernel_n(p, 5.0, 5.0)
 
 
+@pytest.mark.parametrize("N, x", [(60, 18.0), (80, 10.0)])
+def test_kernel_contour_matches_laguerre_beyond_benchmark_n(N, x):
+    # with test_kernel_contour_matches_laguerre_at_N100, the points the
+    # README's envelope gives for N = 60, 80 and 100
+    value = fk.kernel_n_contour(EnsembleParams(N=N, r=1, s=0, nu=(0,)), x, x).value
+    ref = sum(scipy.special.eval_laguerre(l, x) ** 2 for l in range(N)) * math.exp(-x)
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_contour_circle_rule_at_its_hardest_geometry():
+    # the circle passes the poles t = 0 and N - 1 and the line Re t = -1/2 of
+    # the Cauchy poles 1/4 away; the weights carry dt/(2πi), so the rule must
+    # give the residue 1/(p - k) of 1/((t - k)(p - t)) for k inside, p outside
+    sizes = {}
+    for N in (1, 2, 5, 20, 40, 80):
+        contour = fk.biorth_system(EnsembleParams(N=N, r=1, s=0, nu=(0,))).contour
+        t, w = contour.tcirc, contour.weight
+        for nodes in (t, w):  # node m - j mirrors node j; θ = 0 and π are real
+            assert np.array_equal(nodes[1:][::-1], np.conj(nodes[1:]))
+            assert nodes[0].imag == 0.0 and nodes[len(nodes) // 2].imag == 0.0
+        for k in {0, N - 1}:
+            for p in (-0.5 + 1j * np.array([0.0, 0.5, 5.0, -0.5, -5.0])):
+                assert abs(np.sum(w / ((t - k) * (p - t))) - 1 / (p - k)) <= 1e-13 / abs(p - k)
+        sizes[N] = len(t)
+    # the uniform rule took max(256, 80 N) nodes; the graded one grows like sqrt(N)
+    assert max(sizes[N] for N in sizes if N <= 40) <= 500
+    assert sizes[80] <= 1.5 * sizes[40]
+
+
 def test_overflowing_prefactors_raise():
     # e^{log prefactor} past float64 raised a bare OverflowError
     p = EnsembleParams(N=150, r=3, s=0, nu=(0, 0, 0))
@@ -417,7 +446,7 @@ def test_kernel_contour_grid_raises_at_its_worst_pair(params, x):
 
 
 def test_kernel_contour_grid_memory_bounded():
-    # circle sums and y^u are held per distinct point: 400 points take about 84 MiB
+    # circle sums and y^u are held per distinct point: 400 points take about 67 MiB
     p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
     xs, ys = np.linspace(0.5, 20.0, 200), np.linspace(0.25, 19.75, 200)
     tracemalloc.start()
