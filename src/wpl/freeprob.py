@@ -181,7 +181,7 @@ def _newton_polish(r: int, s: int, zeta: complex, w: complex) -> complex:
     return w
 
 
-_H_STEPS = 80  # the descent in Im z
+_H_STEPS = 40  # the descent in Im z; at 20 steps (8,7) loses its root at x = 1e9
 _TAUS = np.geomspace(1e-9, 1.0, 60)  # the ray zeta = tau * zeta_end, z < 0
 
 

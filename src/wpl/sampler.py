@@ -84,9 +84,13 @@ def _triangular_factor(gen: np.random.Generator, batch: int, n: int, N: int) -> 
 
     Bartlett: |R_ii|^2 ~ Gamma(n - i) for i = 0..N-1, entries above the
     diagonal CN(0, 1).  The N x N induced square with density
-    ∝ (det M†M)^{n-N} e^{-Tr M†M} has the same R law.
+    ∝ (det M†M)^{n-N} e^{-Tr M†M} has the same R law.  Only the strict
+    upper triangle is drawn: N(N-1)/2 complex normals a factor from
+    `_ginibre`, then the N gammas of each diagonal.
     """
-    R = np.triu(_ginibre(gen, batch, N, N), 1)
+    R = np.zeros((batch, N, N), dtype=complex)
+    row, col = np.triu_indices(N, 1)
+    R[:, row, col] = _ginibre(gen, batch, row.size)
     i = np.arange(N)
     R[:, i, i] = np.sqrt(gen.standard_gamma(n - i, size=(batch, N)))
     return R

@@ -224,6 +224,18 @@ def test_stieltjes_density_far_tail_sweep():
         assert np.all(np.abs(fp.stieltjes_density(r, s, xs) - ref) <= 1e-9 * ref), (r, s)
 
 
+def test_stieltjes_density_descent_headroom():
+    # the largest pairs of the far-tail scans, from deep below the hard edge
+    # to far in the tail: with half as many descent steps (8,7) raises
+    # NonConvergent at x = 1e9.  Off the support (x = 5.6e-3 at (0,8)) the
+    # reference is 0 and the route returns rounding noise, 2e-23
+    xs = np.geomspace(1e-9, 1e9, 9)
+    for r, s in ((8, 7), (7, 8), (8, 0), (0, 8)):
+        ref = fp.global_density(r, s, xs)
+        tol = np.where(ref > 0, 1e-9 * ref, 1e-12 / xs)
+        assert np.all(np.abs(fp.stieltjes_density(r, s, xs) - ref) <= tol), (r, s)
+
+
 def test_stieltjes_density_raises_on_zero_inside_support(monkeypatch):
     # at r, s >= 1 every x > 0 is in the support: a root with Im G = 0 there
     # is not the physical one, and rho = 0 must not come back
@@ -278,8 +290,8 @@ def test_stieltjes_density_array_equals_scalar_calls(r, s, monkeypatch):
     roots = fp._roots
     monkeypatch.setattr(fp, "_roots", lambda *args: steps.append(len(args[2])) or roots(*args))
     rho = fp.stieltjes_density(r, s, xs)
-    # every path starts on its root and takes its 79 steps without refinement
-    assert sum(steps) == 3 * len(xs) * 79
+    # every path starts on its root and takes its steps without refinement
+    assert sum(steps) == 3 * len(xs) * (fp._H_STEPS - 1)
     monkeypatch.undo()
     assert rho.shape == xs.shape
     assert np.array_equal(rho, [fp.stieltjes_density(r, s, float(x)) for x in xs])

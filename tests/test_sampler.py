@@ -30,6 +30,41 @@ def test_ginibre_determinism_and_stream_independence():
     assert not np.allclose(a, c)
 
 
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def test_triangular_factor_draws_only_what_it_keeps():
+    # one factor takes N(N-1) normals (the real, then the imaginary parts of
+    # the strict upper triangle) and then the N gammas of the diagonal
+    n, N = 9, 6
+    gen, twin = RngStream(51).generator(), RngStream(51).generator()
+    R = sp._triangular_factor(gen, 1, n, N)[0]
+    normals = twin.standard_normal(N * (N - 1))
+    gammas = twin.standard_gamma(n - np.arange(N))
+    assert _same_state(gen.bit_generator.state, twin.bit_generator.state)
+    re, im = np.split(normals, 2)
+    assert np.array_equal(R[np.triu_indices(N, 1)], (re + 1j * im) / math.sqrt(2.0))
+    assert np.array_equal(np.diag(R), np.sqrt(gammas))
+    assert np.all(R[np.tril_indices(N, -1)] == 0)
+
+
+def test_triangular_factor_upper_entries_are_circular():
+    # E|z|^2 = 1 and E z^2 = 0 over the strict upper triangles of one batch;
+    # |z|^2 ~ Exp(1), Re z^2 and Im z^2 each have variance 1
+    N, draws = 8, 4000
+    R = sp._triangular_factor(RngStream(52).generator(), draws, N + 2, N)
+    i, j = np.tril_indices(N, -1)
+    assert np.all(R[:, i, j] == 0)
+    z = R[:, j, i].ravel()
+    sigma = 1.0 / math.sqrt(z.size)
+    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 4.0 * sigma
+    assert abs(np.mean(z**2).real) < 4.0 * sigma
+    assert abs(np.mean(z**2).imag) < 4.0 * sigma
+
+
 def test_induced_square_matches_plain_at_n_equals_N():
     # the triangular factor of an N x N draw (exponent 0) has the singular
     # values of a plain N x N Ginibre matrix
