@@ -146,7 +146,7 @@ def p_n(params: EnsembleParams, n: int, x):
 class ContourData(NamedTuple):
     """The point-free parts of kernel_n_contour for one parameter set."""
 
-    line: MellinLine  # F(u) on Re u = -1/2, nodes mirror-symmetric about the real axis
+    line: MellinLine  # F(u) on the upper half of Re u = -1/2
     tcirc: np.ndarray  # circle nodes t_j, tcirc[m - j] = conj(tcirc[j]) exactly
     log_g: np.ndarray  # ln G(t_j)
     weight: np.ndarray  # trapezoid factors of dt/(2πi) at t_j
@@ -227,8 +227,9 @@ class BiorthSystem:
     def contour(self) -> ContourData:
         """kernel_n_contour's outer line and circle, built on first use.
 
-        F is the Q lines' gamma product with l = N, unnormalised, on Re u =
-        -1/2 up to the end-decay height (Gauss-Legendre panels); G(t) =
+        F is the Q lines' gamma product with l = N, unnormalised, on the
+        upper half of Re u = -1/2 up to the end-decay height (Gauss-Legendre
+        panels, one node of each check_mirror's); G(t) =
         Γ(t - N + 1) over that product at u = -t - 1, on a circle around
         t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4) at least 1/4 from the
         line.  The circle's nodes are graded (`_graded_circle`): densest at
@@ -240,13 +241,12 @@ class BiorthSystem:
         def log_f(u):
             return _log_gammas(p, u) - ln_gamma(-N - u)
 
-        tnodes, w = gl_line(end_decay_height(log_f, _Q_ABSCISSA), np.polynomial.legendre.leggauss(48))
-        u = _Q_ABSCISSA + 1j * tnodes
+        line = gl_line(log_f, _Q_ABSCISSA, end_decay_height(log_f, _Q_ABSCISSA), 48)
         radius = 0.5 * N - 0.25
         turn, weight = _graded_circle(radius, p.r)
         tcirc = 0.5 * (N - 1) + radius * turn
         log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0)
-        return ContourData(MellinLine(u, w, log_f(u)), tcirc, log_g, weight)
+        return ContourData(line, tcirc, log_g, weight)
 
     def _geometry(self, regime):
         """Abscissa and probe points of a regime's line."""
@@ -364,11 +364,11 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
 
     The line and circle are BiorthSystem.contour, built once per parameter
     set; a call forms the circle sums C(u_i, x) and y^{u_i} once per distinct
-    point.  The circle sums for the lower half line are the conjugates of the
-    upper half's (the circle is mirror-symmetric and G conjugate on it), so
-    only the upper half is summed.  One MellinLine.contract takes C(u_i, x)
-    y^{u_i} for every pair, and check_kernel_loss holds eps × the node-wise
-    mass to its budget.  A line whose coefficients overflow raises before any circle sum.
+    point, on the upper half line only: the circle is mirror-symmetric and
+    G conjugate on it, so C(conj u, x) = conj C(u, x), as MellinLine.contract
+    needs.  One contract takes C(u_i, x) y^{u_i} for every pair, and
+    check_kernel_loss holds eps × the node-wise mass to its budget.  A line
+    whose coefficients overflow raises before any circle sum.
     """
     line, tcirc, log_g, weight = biorth_system(params).contour
     if line.coeff is None:  # as contract would raise, after the circle sums
@@ -376,24 +376,19 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
     log_pts = np.log(pts)
     g = np.exp(log_pts[:, None] * tcirc + log_g) * weight  # rows: points
 
-    # circle sums and their unsigned masses on the upper half line, by
-    # blocks of circle nodes
-    half = len(line.u) // 2
-    pole = -line.u[half:] - 1.0  # of the Cauchy factor, in t
-    circ = np.zeros((half, len(pts)), dtype=complex)
-    circ_abs = np.zeros((half, len(pts)))
+    # circle sums and their unsigned masses, by blocks of circle nodes
+    pole = -line.u - 1.0  # of the Cauchy factor, in t
+    circ = np.zeros((len(pole), len(pts)), dtype=complex)
+    circ_abs = np.zeros((len(pole), len(pts)))
     for lo in range(0, len(tcirc), _CIRCLE_BLOCK):
         cauchy = pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK]
         np.reciprocal(cauchy, out=cauchy)  # in place: this division is most of a 1 x 1 call
         circ += cauchy @ g[:, lo : lo + _CIRCLE_BLOCK].T
         circ_abs += np.abs(cauchy) @ np.abs(g[:, lo : lo + _CIRCLE_BLOCK]).T
-    circ = np.concatenate([np.conj(circ[::-1]), circ])  # node i mirrors node len(u) - 1 - i
-    circ_abs = np.concatenate([circ_abs[::-1], circ_abs])
 
     y_u = line._x_power(log_pts)
+    vals = line.contract(lambda sl: circ[:, ix[sl]] * y_u[:, iy[sl]], len(ix))[0]
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
-        log_circ = np.log(np.max(circ_abs, axis=0))  # with y^{-1/2}, bounds |C(u_i, x) y^{u_i}|
-        vals = line.contract(lambda sl: circ[:, ix[sl]] * y_u[:, iy[sl]], (_Q_ABSCISSA * log_pts)[iy] + log_circ[ix])[0]
         log_mass = np.log(np.abs(line.coeff[0]) @ circ_abs)  # per point x, without y^{-1/2}
     check_kernel_loss("double contour", (_Q_ABSCISSA * log_pts)[iy] + log_mass[ix], vals, pts, ix, iy)
     return vals

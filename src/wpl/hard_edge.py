@@ -109,8 +109,7 @@ def _gr0_deltas(params: HardEdgeParams, w, powers) -> np.ndarray:
     line = meijer_line(spec, contour, float(np.max(np.abs(log_w))), power=top)
     u = line.u
     pw, lw = np.repeat(powers, log_w.size) - top, np.tile(log_w, len(powers))
-    log_scale = contour.abscissa * lw + pw * math.log(float(np.min(np.abs(u))))  # pw <= 0
-    vals = line.contract(lambda sl: u[:, None] ** pw[sl] * np.exp(np.outer(u, lw[sl])), log_scale)[0]
+    vals = line.contract(lambda sl: u[:, None] ** pw[sl] * np.exp(np.outer(u, lw[sl])), len(pw))[0]
     return vals.reshape((len(powers),) + wv.shape)
 
 
@@ -149,7 +148,8 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
 
         K(x, y) = (1/2πi)∫ F(s) y^s H(s, x) ds,  H(s, x) = Σ_k c_k x^k/(k+s+1),
 
-    one line contracted with the node x pair matrix H(s_i, x) y^{s_i}.  The
+    one line contracted with the node x pair matrix H(s_i, x) y^{s_i}, on
+    the line's upper half (H(conj s, x) = conj H(s, x), as for y^s).  The
     poles of H at s = -1-k lie at least as far from the line Re s =
     min ν - 1/2 as the nearest pole of F, so the line is that of G^{r,0}.
     The alternating series loses about (r+1)(1 - cos(π/(r+1))) x^{1/(r+1)}
@@ -168,7 +168,7 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     h = (1.0 / (k[None, :] + 1.0 + line.u[:, None])) @ terms  # H(s_i, x_p)
     y_s = np.exp(np.outer(line.u, log_pts))
     log_scale = (c * log_pts)[iy] + np.log(np.abs(terms).T @ (1.0 / (k + 1.0 + c)))[ix]
-    vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], log_scale)[0]
+    vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], len(ix))[0]
     check_kernel_loss("hard-edge series", line.log_mass[0] + log_scale, vals, pts, ix, iy)
     return vals
 

@@ -43,8 +43,8 @@ from .errors import (
 # numpy complex128; no wrapper type is needed.
 
 _LOG_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
-# float64 accuracy target of a Mellin-Barnes line: its absolute error, the floor
-# of its imaginary-residue guard and its settling tolerance (see line_tol)
+# float64 accuracy target of a Mellin-Barnes line: its absolute error, its
+# settling tolerance and 1e-3 of its mirror check's allowance (see line_tol)
 _TOL = 1e-12
 _PFQ_TOL = 1e-15
 _PFQ_MAX_TERMS = 100_000
@@ -351,40 +351,52 @@ def gl_panels(rule, edges):
 _TRAPEZOID_BUDGET = 20_000
 
 
-def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dtype=np.float64, rel: float = 0.0):
+def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dtype=np.float64, rel: float = 0.0,
+                      mirrored: bool = False, first=None):
     """Trapezoid rule at nodes node(t0 + kh) in [t0, t0 + steps], weights h jac(node).
 
     Geometric in 1/h for integrands analytic in a strip that decay at both
-    ends.  h halves from 1 until every component of I_h - I_{h/2} is within
-    max(tol, rel × its unsigned mass); a level samples only its midpoints.
-    sample(nodes) gives the values kept (last axis over nodes), and
-    settle(nodes, samples) the integrands, node by node.  Returns the final
-    nodes, weights and samples.  An integrand that is not finite raises
-    NonConvergent at once, naming its node; so does a grid past the budget.
+    ends.  h halves from 1 until the real part of every component of
+    I_h - I_{h/2} is within max(tol, rel × its unsigned mass); a level
+    samples only its midpoints.  sample(nodes) gives the values kept (last
+    axis over nodes), and settle(nodes, samples) the integrands, node by
+    node.  mirrored (t0 = 0) stands for the rule on [-steps, steps] whose
+    lower half is the conjugate mirror of the upper: weights doubled off
+    t = 0, so Re I is the whole line's, and the nodes counted as the whole
+    line's.  first, if given, holds the samples of the h = 1 level.
+    Returns the final nodes, weights and samples.  An integrand
+    that is not finite raises NonConvergent at once, naming its node; so
+    does a grid past the budget.
     """
-    def level(t, h):
+    def weights(t, nodes, h):
+        return h * jac(nodes) * (np.where(t > 0, 2, 1) if mirrored else 1)
+
+    def whole(n):  # nodes of the whole line to n nodes of the rule
+        return 2 * n - 1 if mirrored else n
+
+    def level(t, h, samples=None):
         nodes = node(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = sample(nodes)
+            samples = sample(nodes) if samples is None else samples
             f = settle(nodes, samples)
         bad = ~np.isfinite(f)
         if np.any(bad):
             raise NonConvergent(f"trapezoid integrand is not finite at {nodes[np.nonzero(bad)[-1][0]]}")
-        w = h * jac(nodes)
+        w = weights(t, nodes, h)
         return nodes, samples, f @ w, np.abs(f) @ w
 
     h = dtype(1)
-    nodes, samples, cur, mass = level(t0 + h * np.arange(steps + 1, dtype=dtype), h)
+    nodes, samples, cur, mass = level(t0 + h * np.arange(steps + 1, dtype=dtype), h, first)
     while True:
-        if 2 * len(nodes) - 1 > _TRAPEZOID_BUDGET:
-            raise NonConvergent(f"trapezoid rule unsettled at {len(nodes)} nodes (h = {float(h):g})")
+        if whole(2 * len(nodes) - 1) > _TRAPEZOID_BUDGET:
+            raise NonConvergent(f"trapezoid rule unsettled at {whole(len(nodes))} nodes (h = {float(h):g})")
         h = h / 2
         mids, new, part, part_mass = level(t0 + h * np.arange(1, 2 * len(nodes) - 1, 2, dtype=dtype), h)
         prev, cur, mass = cur, cur / 2 + part, mass / 2 + part_mass
         nodes = np.insert(nodes, np.arange(1, len(nodes)), mids)
         samples = np.insert(samples, np.arange(1, samples.shape[-1]), new, axis=-1)
-        if np.all(np.abs(cur - prev) <= np.maximum(tol, rel * mass)):
-            return nodes, h * jac(nodes), samples
+        if np.all(np.abs(np.real(cur - prev)) <= np.maximum(tol, rel * mass)):
+            return nodes, weights(t0 + h * np.arange(len(nodes), dtype=dtype), nodes, h), samples
 
 
 def ln_trapezoid(sample, settle, lo: float, hi: float, tol: float, dtype=np.float64):
@@ -392,13 +404,6 @@ def ln_trapezoid(sample, settle, lo: float, hi: float, tol: float, dtype=np.floa
     x_k >= hi, weights h x_k, every component of settle(sample(x)) within tol."""
     return halving_trapezoid(sample, lambda x, samples: settle(samples), np.exp, lambda x: x, np.log(dtype(lo)),
                              int(math.ceil(math.log(hi / lo))), tol, dtype)
-
-
-def gl_line(height, rule):
-    """Nodes t and weights on [-height, height] from width-2 panels,
-    mirror-symmetric about 0 (a vertical line s = c + i t)."""
-    t, w = gl_panels(rule, np.append(np.arange(0.0, height - 1e-12, 2.0), height))
-    return np.concatenate([-t[::-1], t]), np.concatenate([w[::-1], w])
 
 
 # Points per block of a line sum, so its nodes x points temporaries do not
@@ -417,31 +422,53 @@ def line_tol(dtype) -> float:
     return _TOL * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
 
 
+def check_mirror(log_f, u: np.ndarray, log_f_u: np.ndarray, tol: float) -> None:
+    """Raise InternalImaginaryResidue where F(conj u) and conj F(u) disagree.
+
+    A line sum over the upper half stands for the whole line only if the
+    integrand is real on the real axis, F(conj u) = conj F(u).  log_f is the
+    builder's log F and log_f_u its values at the upper nodes u, a subset
+    that spans the whole height; a node's disagreement |e^{log F(conj u)} -
+    conj e^{log F(u)}| is allowed max(1e3 tol, 1e-12) of |F(u)|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.abs(np.exp(np.atleast_2d(log_f(np.conj(u))) - np.conj(np.atleast_2d(log_f_u))) - 1)
+    allowed = max(1e3 * tol, 1e-12)
+    if not np.all(rel <= allowed):  # NaN fails too
+        worst = np.unravel_index(np.argmax(np.where(np.isnan(rel), np.inf, rel)), rel.shape)
+        raise InternalImaginaryResidue(
+            f"F(conj u) and conj F(u) differ by {float(rel[worst]):.1e} of |F| at u = {complex(u[worst[-1]])}, "
+            f"over the guard {allowed:.1e}")
+
+
 class MellinLine:
-    """Mellin-Barnes line sums (1/2π) Σ_i w_i F_l(u_i) x^{u_i}, one per row l.
+    """Mellin-Barnes line sums (1/2π) Σ_i w_i F_l(u_i) x^{u_i}, one per row l,
+    over a vertical line Re u = c whose lower half mirrors the upper.
 
-    u are the nodes of a vertical line Re u = c, mirror-symmetric about the
-    real axis (u[n-1-i] = conj(u[i]) exactly; `eval` raises ContourViolation
-    otherwise), w their weights and log_f the log F_l(u_i), one row per sum
-    (a 1-d log_f is one row).  `contract` puts any node x point
+    The integrands are real on the real axis (F(conj u) = conj F(u), which
+    each line builder checks with check_mirror), so the whole line's sum is
+    the real part of the sum over its upper half.  u holds the nodes with
+    Im u >= 0 (a node below the axis raises ContourViolation), w their
+    weights, doubled off the real axis, and log_f the log F_l(u_i), one row
+    per sum (a 1-d log_f is one row).  `contract` puts any node x point
     matrix in place of x^{u_i}.  The sums are evaluated in the precision of
-    log_f: complex128 or clongdouble, whose line_tol is the line's `tol`.
+    log_f: complex128 or clongdouble.
 
-    `eval` forms x^u on the upper half line only, the lower half being its
-    exact conjugate.  There the nodes are cut into blocks of about sqrt(n/2)
-    and x^{u_k} = x^{a_k} x^{u_k - a_k}, a_k the first node of u_k's block.
-    An offset u_k - a_k that recurs (as every one does on a trapezoid line
-    c + i(t0 + kh), whose offsets are exact multiples of h) costs one exp a
-    point for the whole line, so a 1153-node line takes 24 + 25 exps a point.
+    `eval` cuts the nodes into blocks of about sqrt(n) and writes x^{u_k} =
+    x^{a_k} x^{u_k - a_k}, a_k the first node of u_k's block.  An offset
+    u_k - a_k that recurs (as every one does on a trapezoid line c + i kh,
+    whose offsets are exact multiples of h) costs one exp a point for the
+    whole line, so a 577-node line takes 24 + 25 exps a point.
     """
 
     def __init__(self, u: np.ndarray, w: np.ndarray, log_f: np.ndarray):
+        if np.any(np.imag(u) < 0):
+            raise ContourViolation("line nodes must lie on the upper half line, Im u >= 0")
         self.u = u
         self.w = w
         self.log_f = np.atleast_2d(log_f)
         re_f = np.real(self.log_f)
         self.two_pi = 2 * pi_in(re_f.dtype)
-        self.tol = line_tol(re_f.dtype)
         self.c = np.real(u[0])
         # ln Σ_i |coeff[l, i]|: with |x^u| = x^c it bounds the unsigned mass
         mass = re_f + np.log(np.abs(w))
@@ -453,75 +480,54 @@ class MellinLine:
                 self.coeff = np.exp(self.log_f) * w / self.two_pi
 
     @cached_property
-    def _upper_factors(self):
-        """The upper half line u[n//2:] as anchor + offset, in blocks of
-        ceil(sqrt(n/2)): the anchors, each node's anchor, the distinct
-        offsets and each node's offset.  Built on the first eval only, as
-        lines that are only contracted never need it."""
-        half = len(self.u) // 2
-        if not np.array_equal(self.u[:half], np.conj(self.u[len(self.u) - half:][::-1])):
-            raise ContourViolation("line nodes are not mirror-symmetric about the real axis")
-        upper = self.u[half:]
-        block = math.isqrt(len(upper) - 1) + 1
-        anchors, anchor_of = upper[::block], np.arange(len(upper)) // block
-        offsets, offset_of = np.unique(upper - anchors[anchor_of], return_inverse=True)
+    def _factors(self):
+        """The nodes as anchor + offset, in blocks of ceil(sqrt(n)): the
+        anchors, each node's anchor, the distinct offsets and each node's
+        offset.  Built on the first eval only, as lines that are only
+        contracted never need it."""
+        block = math.isqrt(len(self.u) - 1) + 1
+        anchors, anchor_of = self.u[::block], np.arange(len(self.u)) // block
+        offsets, offset_of = np.unique(self.u - anchors[anchor_of], return_inverse=True)
         return anchors, anchor_of, offsets, offset_of
 
     def _x_power(self, log_x: np.ndarray) -> np.ndarray:
-        """x^{u_i} at the points e^{log_x}, nodes x points, as anchor x offset
-        on the upper half line and mirrored onto the lower half."""
-        anchors, anchor_of, offsets, offset_of = self._upper_factors
-        upper = np.exp(np.outer(anchors, log_x))[anchor_of] * np.exp(np.outer(offsets, log_x))[offset_of]
-        return np.concatenate([np.conj(upper[::-1][: len(self.u) // 2]), upper])
+        """x^{u_i} at the points e^{log_x}, nodes x points, as anchor x offset."""
+        anchors, anchor_of, offsets, offset_of = self._factors
+        return np.exp(np.outer(anchors, log_x))[anchor_of] * np.exp(np.outer(offsets, log_x))[offset_of]
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        """The real parts of the sums at positive points x, rows x len(x)."""
+        """The sums at positive points x, rows x len(x)."""
         log_x = np.log(x)
         if self.coeff is not None:
-            return self.contract(lambda sl: self._x_power(log_x[sl]), self.c * log_x)
+            return self.contract(lambda sl: self._x_power(log_x[sl]), len(x))
         # fold x^u into the exponent so saddle-shifted lines stay in range
         return self._sum_blocks(
             lambda sl: np.array([self.w @ np.exp(lf[:, None] + np.outer(self.u, log_x[sl])) for lf in self.log_f])
             / self.two_pi,
-            self.c * log_x)
+            len(x))
 
-    def contract(self, basis, log_scale: np.ndarray) -> np.ndarray:
-        """Re Σ_i coeff[l, i] M[i, j], rows x points: the sums with a node x
+    def contract(self, basis, n: int) -> np.ndarray:
+        """Re Σ_i coeff[l, i] M[i, j], rows x n points: the sums with a node x
         point matrix M in place of x^u.
 
-        M must be conjugate at mirrored nodes, as x^u is.  basis(sl) gives
-        the columns M[:, sl] of one block of points, so M is never formed
-        whole; log_scale[j] bounds ln max_i |M[i, j]|, which with
-        exp(log_mass) = Σ_i |coeff[l, i]| bounds the unsigned mass of point j.
+        M must be conjugate at mirrored nodes, as x^u is, for the real part
+        to be the whole line's.  basis(sl) gives the columns M[:, sl] of one
+        block of points, so M is never formed whole.
         """
         if self.coeff is None:
             raise NonConvergent("Mellin-Barnes line coefficients overflow")
-        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), log_scale)
+        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), n)
 
-    def _sum_blocks(self, sums, log_scale: np.ndarray) -> np.ndarray:
-        """sums(sl) in blocks of _CHUNK points, under the imaginary-residue guard.
-
-        Conjugate node pairs cancel Im exactly; the rounding residue scales
-        with the unsigned mass (log_mass + log_scale), so an Im part above
-        max(1e3 tol, 1e-12 mass) flags a contour bug and raises
-        InternalImaginaryResidue.  A sum that is not finite raises
-        NonConvergent.
-        """
-        n = len(log_scale)
+    def _sum_blocks(self, sums, n: int) -> np.ndarray:
+        """Re sums(sl) in blocks of _CHUNK points; a sum that is not finite
+        raises NonConvergent."""
         out = np.empty((len(self.log_f), n), dtype=np.real(self.log_f).dtype)
-        imax = 0.0
         for lo in range(0, n, _CHUNK):
             with np.errstate(under="ignore", over="ignore", invalid="ignore"):
                 vals = sums(slice(lo, lo + _CHUNK))
             if not np.all(np.isfinite(vals)):
                 raise NonConvergent("Mellin-Barnes line sum is not finite")
             out[:, lo : lo + _CHUNK] = vals.real
-            imax = max(imax, float(np.max(np.abs(vals.imag), initial=0.0)))
-        with np.errstate(over="ignore"):
-            mass = np.exp(np.max(self.log_mass) + np.max(log_scale))
-        allowed = max(1e3 * self.tol, 1e-12 * float(mass))
-        if imax > allowed:
-            raise InternalImaginaryResidue(f"imaginary residue {imax} exceeds guard {allowed}")
         return out
 
 
@@ -572,25 +578,37 @@ def end_decay_height(log_f, c: float, dtype=np.float64) -> int:
     """Half-height of the line Re u = c: it grows from 12 by half until each
     row's |F_l| at the ends is within _LINE_ROUNDING eps of its peak
     (larger ends add a share that falls only like h on a trapezoid line)."""
+    return len(_decayed_level(log_f, c, dtype)[0]) - 1
+
+
+def _decayed_level(log_f, c: float, dtype):
+    """The nodes c + ik, k = 0..end_decay_height, and the rows log_f there;
+    a taller line samples only its new nodes."""
     log_rel = math.log(_LINE_ROUNDING * float(np.finfo(dtype).eps))
-    m = 12
+    u = c + 1j * np.arange(13, dtype=dtype)
+    lf = np.atleast_2d(log_f(u))
     while True:  # |F_l| is even in t
-        re_f = np.real(np.atleast_2d(log_f(c + 1j * np.arange(m + 1, dtype=dtype))))
+        re_f = np.real(lf)
         if np.all(re_f[:, -1] - np.max(re_f, axis=1) <= log_rel):
-            return m
-        m += m // 2
-        if 2 * m + 1 > _TRAPEZOID_BUDGET:
-            raise NonConvergent(f"line integrand has not decayed at height {m}")
+            return u, lf
+        m = len(u) - 1
+        if 2 * (m + m // 2) + 1 > _TRAPEZOID_BUDGET:
+            raise NonConvergent(f"line integrand has not decayed at height {m + m // 2}")
+        new = c + 1j * np.arange(m + 1, m + m // 2 + 1, dtype=dtype)
+        u, lf = np.concatenate([u, new]), np.concatenate([lf, np.atleast_2d(log_f(new))], axis=1)
 
 
 def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
-    """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid,
-    up to end_decay_height.  Nodes c + ikh, weights h; every row's sum must
-    settle to line_tol(dtype) at every probe x_p, which must span the points
-    the line serves.
+    """The MellinLine on Re u = c of the rows log_f(u), by halving_trapezoid
+    on the upper half line up to end_decay_height.  Nodes c + ikh, k >= 0,
+    weights 2h (h at k = 0); every row's sum must settle to line_tol(dtype)
+    at every probe x_p, which must span the points the line serves.  The
+    h = 1 level, sampled by end_decay_height, is check_mirror's, and
+    check_mirror runs before any halving.
     """
     rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
-    m = end_decay_height(log_f, c, dtype)
+    level, level_f = _decayed_level(log_f, c, dtype)
+    check_mirror(log_f, level, level_f, line_tol(dtype))
     log_x = np.log(np.asarray(probes, dtype=dtype))
     two_pi = 2 * pi_in(dtype)
 
@@ -603,8 +621,21 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
                 * scale[:, :, None]).reshape(-1, len(u))
 
     u, w, lf = halving_trapezoid(lambda u: np.atleast_2d(log_f(u)), probe_sums, lambda t: c + 1j * t,
-                                 lambda u: np.ones(len(u), dtype), -dtype(m), 2 * m, line_tol(dtype), dtype, rel)
+                                 lambda u: np.ones(len(u), dtype), dtype(0), len(level) - 1, line_tol(dtype), dtype,
+                                 rel, True, level_f)
     return MellinLine(u, w, lf)
+
+
+def gl_line(log_f, c: float, height: float, order: int) -> MellinLine:
+    """The float64 MellinLine on Re u = c, |Im u| <= height, of the rows
+    log_f(u), from width-2 Gauss-Legendre panels of the given order on the
+    upper half, weights doubled for the lower; one node a panel is
+    check_mirror's."""
+    t, w = gl_panels(np.polynomial.legendre.leggauss(order), np.append(np.arange(0.0, height - 1e-12, 2.0), height))
+    u = c + 1j * t
+    lf = np.atleast_2d(log_f(u))
+    check_mirror(log_f, u[::order], lf[:, ::order], _TOL)
+    return MellinLine(u, 2 * w, lf)
 
 
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
@@ -646,12 +677,11 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
     pole_order = int(math.ceil(-math.log(_TOL * 1e-2) / (2.0 * math.log(rho)))) + 2
     osc_order = int(3.0 * lx_max) + 8
     order = max(16, pole_order, osc_order)
-    t, w = gl_line(height, np.polynomial.legendre.leggauss(order))
-    s = c + 1j * t
-    log_f = _mb_log_integrand(spec, s)
-    if power:
-        log_f = log_f + power * np.log(s)
-    return MellinLine(s, w, log_f)
+
+    def log_f(s):
+        return _mb_log_integrand(spec, s) + (power * np.log(s) if power else 0)
+
+    return gl_line(log_f, c, height, order)
 
 
 def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int) -> np.ndarray:

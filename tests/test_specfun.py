@@ -91,6 +91,24 @@ def test_ln_gamma_large_modulus():
         assert abs(mine - ref) / abs(ref) < 1e-13
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_ln_gamma_conjugate_symmetry(dtype):
+    # ln Γ(conj z) = conj ln Γ(z) mod 2πi, which every half line rests on;
+    # the grid crosses the reflection region Re z < 1/2 up to |Im z| = 1e3
+    from wpl import _hiprec
+
+    lg = sf.ln_gamma if dtype == np.float64 else _hiprec.lngamma
+    re = np.linspace(-60.3, 60.3, 41)
+    im = np.array([1e-3, 0.5, 3.0, 30.0, 300.0, 1e3])
+    z = (re[:, None] + 1j * im).ravel().astype(np.result_type(dtype, 1j))
+    upper, lower = lg(z), lg(np.conj(z))
+    diff = lower - np.conj(upper)
+    two_pi = 2 * sf.pi_in(dtype)
+    turn = np.remainder(diff.imag + two_pi / 2, two_pi) - two_pi / 2
+    allowed = 4 * np.finfo(dtype).eps * np.maximum(1.0, np.abs(upper))
+    assert np.all(np.abs(diff.real) <= allowed) and np.all(np.abs(turn) <= allowed)
+
+
 def test_ln_gamma_pole():
     with pytest.raises(PoleError):
         sf.ln_gamma(0.0)
@@ -217,38 +235,70 @@ def test_meijer_trapezoid_rule_agrees():
         assert tz == pytest.approx(sf.meijer_g(spec, gl, x), rel=1e-9)
 
 
-def _exp_line():
-    """G^{1,0}_{0,1}(x | 0) = e^{-x} as a MellinLine on Re s = -1/2."""
-    spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
-    t, w = sf.gl_line(30.0, np.polynomial.legendre.leggauss(32))
-    s = -0.5 + 1j * t
-    return s, w, sf._mb_log_integrand(spec, s)
+def _exp_log_f(dtype=np.float64, phase=0.0, above=0.0):
+    """ln Γ(-s), of G^{1,0}_{0,1}(x | 0) = e^{-x}, in the dtype's log-gamma;
+    a phase where |Im s| > above breaks F(conj s) = conj F(s) there."""
+    from wpl import _hiprec
+
+    lg = sf.ln_gamma if dtype == np.float64 else _hiprec.lngamma
+    return lambda s: lg(-s) + 1j * phase * (np.abs(np.imag(s)) > above)
+
+
+def _exp_line(phase=0.0, above=0.0):
+    """e^{-x} as a Gauss-Legendre MellinLine on Re s = -1/2."""
+    return sf.gl_line(_exp_log_f(np.float64, phase, above), -0.5, 30.0, 32)
+
+
+def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
+    """check_mirror of the Gauss-Legendre e^{-x} line in the dtype: in float64
+    the line's own, as gl_line builds (float64 lines only); in longdouble the
+    same check, one node a panel, on clongdouble nodes and log-gammas."""
+    if dtype == np.float64:
+        return _exp_line(phase, above)
+    u = _exp_line().u[::32].astype(np.clongdouble)
+    log_f = _exp_log_f(dtype, phase, above)
+    return sf.check_mirror(log_f, u, log_f(u), sf.line_tol(dtype))
+
+
+def _exp_trapezoid_line(dtype=np.float64, phase=0.0, above=0.0):
+    """e^{-x} as a trapezoid MellinLine on Re s = -1/2."""
+    return sf.trapezoid_line(_exp_log_f(dtype, phase, above), -0.5, (0.5, 1.0, 2.0), dtype)
 
 
 def test_mellin_line_guard():
-    s, w, log_f = _exp_line()
     x = np.array([0.5, 1.0, 2.0])
-    assert sf.MellinLine(s, w, log_f).eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-11)
-    # a phase that breaks the conjugate symmetry of the nodes leaves an Im part
-    with pytest.raises(InternalImaginaryResidue):
-        sf.MellinLine(s, w, log_f + 1e-3j).eval(x)
+    line = _exp_line()
+    assert line.eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-11)
+    # a phase that breaks F(conj s) = conj F(s) raises where the line is built
+    for dtype in (np.float64, np.longdouble):
+        with pytest.raises(InternalImaginaryResidue):
+            _exp_gl_mirror(dtype, 1e-3)
+        with pytest.raises(InternalImaginaryResidue):
+            _exp_trapezoid_line(dtype, 1e-3)
     # an overflowing integrand gives no number rather than inf or NaN
     with pytest.raises(NonConvergent):
-        sf.MellinLine(s, w, log_f + 800.0).eval(x)
+        sf.MellinLine(line.u, line.w, line.log_f + 800.0).eval(x)
 
 
 def test_mellin_line_guard_follows_dtype():
-    # a 1e-11 phase leaves Im ≈ 1e-11 e^{-x}: under the float64 guard
-    # (1e3 × 1e-12), over the longdouble one (1e-12 × the mass, 6.7e-13)
-    s, w, log_f = _exp_line()
+    # a 1e-11 phase moves F(conj s) by 2e-11 of |F|: under the float64
+    # allowance (1e3 × 1e-12), over the longdouble one (1e-12)
     x = np.array([0.5, 1.0, 2.0])
-    line = sf.MellinLine(s, w, log_f + 1e-11j)
-    assert line.tol == 1e-12
-    assert line.eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-10)
-    ld = sf.MellinLine(s.astype(np.clongdouble), w.astype(np.longdouble), (log_f + 1e-11j).astype(np.clongdouble))
-    assert ld.tol == sf.line_tol(np.longdouble) < line.tol
+    for line in (_exp_line(1e-11), _exp_trapezoid_line(np.float64, 1e-11)):
+        assert line.eval(x)[0] == pytest.approx(np.exp(-x), rel=1e-10)
+    for build in (_exp_gl_mirror, _exp_trapezoid_line):
+        with pytest.raises(InternalImaginaryResidue):
+            build(np.longdouble, 1e-11)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("build", [_exp_gl_mirror, _exp_trapezoid_line], ids=["gauss_legendre", "trapezoid"])
+def test_mellin_line_guard_spans_the_line(build, dtype):
+    # a phase confined to |Im s| > 10, where |F| is below 4e-7 of its peak:
+    # the Im part of the whole line's sum, which the guard read before the
+    # half lines, is 3e-14 here, under its floor in either dtype
     with pytest.raises(InternalImaginaryResidue):
-        ld.eval(x.astype(np.longdouble))
+        build(dtype, 1e-6, above=10.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -267,16 +317,31 @@ def test_mellin_line_chunks_match_one_block(monkeypatch, dtype):
     assert np.max(np.abs(chunked - whole)) <= 64 * np.finfo(dtype).eps * scale
 
 
+def _whole_line(line):
+    """The nodes and coefficients of the whole line whose upper half `line`
+    holds: its lower half the conjugate mirror, each doubled weight shared
+    between a node and its mirror."""
+    above = line.u.imag > 0
+    share = np.where(above, line.coeff / 2, line.coeff)
+    u = np.concatenate([np.conj(line.u[above][::-1]), line.u])
+    coeff = np.concatenate([np.conj(share[:, above][:, ::-1]), share], axis=1)
+    return u, coeff
+
+
 def assert_eval_matches_direct_exp(line, x):
-    """eval (x^u as anchor x offset, mirrored) against one exp per node and point."""
-    direct = np.real(line.coeff @ np.exp(np.outer(line.u, np.log(x))))
+    """eval (the upper half line, x^u as anchor x offset) against the whole
+    line with one exp per node and point."""
+    u, coeff = _whole_line(line)
+    direct = np.real(coeff @ np.exp(np.outer(u, np.log(x))))
     mass = np.exp(line.log_mass[:, None] + line.c * np.log(x))
     assert np.all(np.abs(line.eval(x) - direct) <= sf._LINE_ROUNDING * np.finfo(x.dtype).eps * mass)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-@pytest.mark.parametrize("regime", ["mid", "deep", "saddle"])
-def test_mellin_line_eval_matches_direct_exp(dtype, regime):
+@pytest.mark.parametrize("dtype, regime, h, height", [
+    (np.float64, "mid", 1 / 32, 12), (np.float64, "deep", 1 / 32, 18), (np.float64, "saddle", 1 / 2, 27),
+    (np.longdouble, "mid", 1 / 32, 18), (np.longdouble, "deep", 1 / 32, 18), (np.longdouble, "saddle", 1 / 2, 40),
+], ids=["mid-float64", "deep-float64", "saddle-float64", "mid-longdouble", "deep-longdouble", "saddle-longdouble"])
+def test_mellin_line_eval_matches_direct_exp(dtype, regime, h, height):
     from wpl import finite_kernel as fk
     from wpl.freeprob import EnsembleParams
 
@@ -284,21 +349,89 @@ def test_mellin_line_eval_matches_direct_exp(dtype, regime):
         line = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=0, nu=(0, 1)))._line(4.0, dtype)
     else:
         line = fk.BiorthSystem(EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)))._line(regime, dtype)
-    assert len(np.unique(np.diff(line.u.imag))) == 1  # a trapezoid line
+    assert np.all(np.diff(line.u.imag) == h)  # a trapezoid line, settled at the step of the whole line
+    assert line.u.imag[0] == 0 and line.u.imag[-1] == height
     assert_eval_matches_direct_exp(line, np.geomspace(1e-28, 1e18, 93).astype(dtype))
 
 
 def test_meijer_line_eval_matches_direct_exp():
-    # Gauss-Legendre panels repeat no offset: x^u costs one exp per upper node
+    # Gauss-Legendre panels repeat no offset: x^u costs one exp per node
     spec = sf.MeijerSpec(2, 0, 0, 3, (), (0.0, 1.0, 0.0))
     x = np.geomspace(1e-28, 1e18, 93)
     assert_eval_matches_direct_exp(sf.meijer_line(spec, sf.ContourSpec.auto(spec), float(np.max(np.abs(np.log(x))))), x)
 
 
+def test_contour_line_eval_matches_direct_exp():
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    line = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))).contour.line
+    assert_eval_matches_direct_exp(line, np.geomspace(1e-28, 1e18, 93))
+
+
+def assert_contract_matches_whole_line(line, basis, vals):
+    """vals, a contract of `line` with the node x point matrix basis(u),
+    against the whole line's complex sum with that matrix formed afresh on
+    both halves: a basis not conjugate at mirrored nodes moves the real
+    part or leaves an imaginary one."""
+    u, coeff = _whole_line(line)
+    m = basis(u)
+    mass = np.abs(coeff) @ np.abs(m)
+    assert np.all(np.abs(coeff @ m - vals) <= sf._LINE_ROUNDING * np.finfo(float).eps * mass)
+
+
+def _all_pairs(pts):
+    return np.divmod(np.arange(len(pts) ** 2), len(pts))
+
+
+def test_contour_pairs_match_whole_line():
+    # the circle sums C(u, x) y^u, at the lower nodes too
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    params = EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))
+    line, tcirc, log_g, weight = fk.biorth_system(params).contour
+    pts = np.geomspace(0.1, 10.0, 5)
+    ix, iy = _all_pairs(pts)
+    g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * weight
+
+    def basis(u):
+        return ((1 / (-u[:, None] - 1 - tcirc)) @ g.T)[:, ix] * np.exp(np.outer(u, np.log(pts[iy])))
+
+    assert_contract_matches_whole_line(line, basis, fk._contour_pairs(params, pts, ix, iy))
+
+
+def test_hard_edge_contracts_match_whole_line():
+    # H(s, x) y^s of _mellin_pairs and s^{j-J} w^s of _gr0_deltas, at the lower nodes too
+    from wpl import hard_edge as he
+
+    params = he.HardEdgeParams(r=2, nu=(0, 1))
+    spec = he._gr0_spec(params)
+    pts = np.geomspace(0.1, 20.0, 5)
+    lx_max = float(np.max(np.abs(np.log(pts))))
+    ix, iy = _all_pairs(pts)
+    terms = he._g10_terms(params, pts)
+    k = np.arange(len(terms))
+
+    def pair_basis(s):
+        return ((1 / (k + 1 + s[:, None])) @ terms)[:, ix] * np.exp(np.outer(s, np.log(pts[iy])))
+
+    line = sf.meijer_line(spec, sf.ContourSpec.auto(spec), lx_max)
+    assert_contract_matches_whole_line(line, pair_basis, he._mellin_pairs(params, pts, ix, iy))
+    powers = (0, 1, 2)
+    pw, lw = np.repeat(powers, len(pts)) - 2, np.tile(np.log(pts), len(powers))
+    line = sf.meijer_line(spec, sf.ContourSpec.auto(spec), lx_max, power=2)
+    assert_contract_matches_whole_line(line, lambda s: s[:, None] ** pw * np.exp(np.outer(s, lw)),
+                                       he._gr0_deltas(params, pts, powers).ravel())
+
+
 def test_mellin_line_rejects_unmirrored_nodes():
-    s, w, log_f = _exp_line()
+    # a line holds the upper half only: its lower half is the mirror
+    line = _exp_line()
+    assert np.all(line.u.imag > 0)
     with pytest.raises(ContourViolation):
-        sf.MellinLine(s + np.linspace(0.0, 1e-9, len(s)), w, log_f).eval(np.array([1.0]))
+        sf.MellinLine(np.append(line.u, -0.5 - 1e-9j), np.append(line.w, line.w[0]),
+                      np.append(line.log_f, line.log_f[:, :1], axis=1))
 
 
 def test_meijer_vs_mpmath_oracle():
@@ -423,7 +556,7 @@ def test_trapezoid_line_settles_on_exp():
     spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
     probes = (1e-3, 1.0, 8.0)
     line = sf.trapezoid_line(lambda s: sf._mb_log_integrand(spec, s), -0.5, probes)
-    assert np.allclose(np.diff(line.u.imag), line.w[0])  # one step h, weights h
+    assert np.allclose(np.diff(line.u.imag), line.w[0])  # one step h; weight h on the axis, 2h above it
     x = np.concatenate([probes, np.geomspace(1e-3, 8.0, 23)[1:-1]])
     assert np.max(np.abs(line.eval(x)[0] - np.exp(-x))) <= 1e-12
 
@@ -455,7 +588,7 @@ def test_trapezoid_line_settles_as_with_folded_probe_sums(dtype):
         u, _, _ = sf.halving_trapezoid(log_f, folded, lambda t: c + 1j * t, lambda u: np.ones(len(u), dtype),
                                        -dtype(m), 2 * m, sf.line_tol(dtype), dtype,
                                        sf._LINE_ROUNDING * float(np.finfo(dtype).eps))
-        assert np.array_equal(system._line(regime, dtype).u, u)
+        assert np.array_equal(system._line(regime, dtype).u, u[len(u) // 2:])  # the upper half of u
 
 
 def test_trapezoid_line_near_pole_raises():
