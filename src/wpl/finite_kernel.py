@@ -24,7 +24,7 @@ from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
     ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line,
-    kernel_pairs, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line,
+    kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line, width2_edges,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -44,6 +44,13 @@ _CIRCLE_BLOCK = 64
 _CIRCLE_DECAY = 36.0
 _CIRCLE_SPREAD = 32.0
 _CIRCLE_GROWTH = 5.0
+# the Gauss-Legendre orders of kernel_n_contour's two lines: on a width-2
+# panel, n nodes integrate the y^{iτ} oscillation e^{iωτ} to the line
+# tolerance for ω up to about n / 1.9, so the graded low-order line
+# (_graded_edges) serves every call whose points keep |ln p| <=
+# _LOW_ORDER_REACH, and the uniform width-2 high-order line every other call
+_LOW_ORDER, _HIGH_ORDER = 16, 48
+_LOW_ORDER_REACH = _LOW_ORDER / 1.9
 # settling tolerance of the float64 ln-x trapezoid grid, on the trace
 # ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
 # where q_matrix leaves the -1/2 line, that line has lost up to 2.3e-9 of
@@ -144,12 +151,39 @@ def p_n(params: EnsembleParams, n: int, x):
 
 
 class ContourData(NamedTuple):
-    """The point-free parts of kernel_n_contour for one parameter set."""
+    """The point-free parts of kernel_n_contour for one parameter set and
+    line order."""
 
     line: MellinLine  # F(u) on the upper half of Re u = -1/2
     tcirc: np.ndarray  # circle nodes t_j, tcirc[m - j] = conj(tcirc[j]) exactly
     log_g: np.ndarray  # ln G(t_j)
     weight: np.ndarray  # trapezoid factors of dt/(2πi) at t_j
+    # Σ_i |coeff_i| / |-u_i - 1 - t_j|, the line's share of the unsigned
+    # mass at t_j; None where the line's coefficients overflow
+    mass: np.ndarray | None
+
+
+def _graded_edges(height: float, poles: np.ndarray) -> np.ndarray:
+    """Panel edges 0 = e_0 < e_1 < ... = height along a line, each panel
+    as wide as its nearest singularity allows, and at most 2, the width
+    for which _LOW_ORDER_REACH is set.
+
+    poles holds the integrand's singular points in the line's own
+    coordinate τ (u = c + iτ).  Gauss-Legendre of order n = _LOW_ORDER on a
+    panel converges like ρ^{-2n}, ρ the largest Bernstein ellipse
+    around the panel that holds no pole; ρ is set so that this meets the
+    line tolerance.  A panel [a, a + 2h] keeps the pole z outside that
+    ellipse, |z - a| + |z - a - 2h| >= h (ρ + 1/ρ), exactly when
+    h <= (2A|z - a| - 4 Re(z - a)) / (A² - 4), A = ρ + 1/ρ.
+    """
+    rho = line_tol(np.float64) ** (-0.5 / _LOW_ORDER)
+    a = rho + 1.0 / rho
+    edges = [0.0]
+    while edges[-1] < height:
+        d = poles - edges[-1]
+        half = min(1.0, float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real)) / (a * a - 4.0))
+        edges.append(min(edges[-1] + 2.0 * half, height))
+    return np.array(edges)
 
 
 def _graded_circle(radius: float, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,41 +246,78 @@ class BiorthSystem:
     the Gram matrix needs; any other points in float64.  A parameter set
     has one accuracy, so `biorth_system` caches on the parameters alone.
     Each line is built on first use, once per (regime, dtype), and so are
-    kernel_n_contour's line and circle (`contour`): construction computes
-    only ln |C_l| and cannot raise.  q_matrix and p_matrix, the sum route,
-    raise NonConvergent if a C_l is beyond the float64 range (the Q rows
-    carry 1/|C_l|, and P_l's prefactor is a factor of C_l).
+    kernel_n_contour's circle and its line, once per order (`contour`):
+    construction computes only ln |C_l| and cannot raise.  q_matrix and
+    p_matrix, the sum route, raise NonConvergent if a C_l is beyond the
+    float64 range (the Q rows carry 1/|C_l|, and P_l's prefactor is a
+    factor of C_l).
     """
 
     def __init__(self, params: EnsembleParams):
         self.params = params
         self.log_abs_C = np.array([_log_abs_c(params, l) for l in range(params.N)])
         self._lines: dict[tuple, MellinLine] = {}
+        self._contours: dict[int, ContourData] = {}
 
     @cached_property
-    def contour(self) -> ContourData:
-        """kernel_n_contour's outer line and circle, built on first use.
+    def _circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """kernel_n_contour's circle nodes t_j, ln G(t_j) and dt/(2πi) factors."""
+        p, N = self.params, self.params.N
+        radius = 0.5 * N - 0.25
+        turn, weight = _graded_circle(radius, p.r)
+        tcirc = 0.5 * (N - 1) + radius * turn
+        return tcirc, ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0), weight
+
+    def contour(self, reach: float) -> ContourData:
+        """kernel_n_contour's outer line and circle for points p with
+        |ln p| <= reach, built on first use.
 
         F is the Q lines' gamma product with l = N, unnormalised, on the
-        upper half of Re u = -1/2 up to the end-decay height (Gauss-Legendre
-        panels, one node of each check_mirror's); G(t) =
+        upper half of Re u = -1/2 up to the end-decay height; G(t) =
         Γ(t - N + 1) over that product at u = -t - 1, on a circle around
         t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4) at least 1/4 from the
         line.  The circle's nodes are graded (`_graded_circle`): densest at
         t = -1/4 and N - 3/4, where it passes the poles t = 0 and N - 1 and
-        the line's Cauchy poles, 1/4 away.
+        the line's Cauchy poles, 1/4 away.  Up to reach _LOW_ORDER_REACH
+        the line has _LOW_ORDER Gauss-Legendre panels graded too
+        (`_graded_edges`), by the Cauchy poles u = -1 - t_j and F's nearest
+        pole, u = min ν: narrow next to the real axis, where both come
+        within 1/4 and 1/2 of the line, and 2 wide above.  Its fewer nodes
+        each carry more of the sum, so its coefficients are formed from a
+        longdouble ln F, which keeps the rounding of F at eps (a float64
+        ln F of a few hundred carries some 1e-13).  Beyond that reach the
+        line has width-2 _HIGH_ORDER panels.  A system holds at most these
+        two lines, and one node of each panel is check_mirror's.
         """
+        order = _LOW_ORDER if reach <= _LOW_ORDER_REACH else _HIGH_ORDER
+        if order in self._contours:
+            return self._contours[order]
         p, N = self.params, self.params.N
+        tcirc, log_g, weight = self._circle
 
         def log_f(u):
             return _log_gammas(p, u) - ln_gamma(-N - u)
 
-        line = gl_line(log_f, _Q_ABSCISSA, end_decay_height(log_f, _Q_ABSCISSA), 48)
-        radius = 0.5 * N - 0.25
-        turn, weight = _graded_circle(radius, p.r)
-        tcirc = 0.5 * (N - 1) + radius * turn
-        log_g = ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0)
-        return ContourData(line, tcirc, log_g, weight)
+        def log_f_ld(u):  # Γ(-u)/Γ(-N-u) = (-u-1)...(-u-N), as in _q_log_rows; it overflows only where F does
+            ratio = np.ones(len(u), dtype=np.clongdouble)
+            for k in range(1, N + 1):
+                ratio *= -u - k
+            return _log_shared_gammas(p, u, _hiprec.lngamma) + np.log(ratio)
+
+        height = end_decay_height(log_f, _Q_ABSCISSA)
+        if order == _LOW_ORDER:  # the poles in τ = (u + 1/2)/i: u = -1 - t_j and u = min ν
+            edges = _graded_edges(height, np.append(1j * (tcirc + 0.5), -1j * (min(p.nu) + 0.5)))
+            line = gl_line(log_f_ld, _Q_ABSCISSA, edges, order)
+        else:
+            line = gl_line(log_f, _Q_ABSCISSA, width2_edges(height), order)
+        mass = None
+        if line.coeff is not None:
+            # Σ_i |coeff_i| / |-u_i - 1 - t_j| in blocks of circle nodes, as the circle sums
+            pole, coeff = -line.u - 1.0, np.abs(line.coeff[0])
+            mass = np.concatenate([coeff @ (1.0 / np.abs(pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK]))
+                                   for lo in range(0, len(tcirc), _CIRCLE_BLOCK)])
+        data = self._contours[order] = ContourData(line, tcirc, log_g, weight, mass)
+        return data
 
     def _geometry(self, regime):
         """Abscissa and probe points of a regime's line."""
@@ -363,33 +434,33 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
     for pairs that include every (p, p).
 
     The line and circle are BiorthSystem.contour, built once per parameter
-    set; a call forms the circle sums C(u_i, x) and y^{u_i} once per distinct
-    point, on the upper half line only: the circle is mirror-symmetric and
-    G conjugate on it, so C(conj u, x) = conj C(u, x), as MellinLine.contract
-    needs.  One contract takes C(u_i, x) y^{u_i} for every pair, and
-    check_kernel_loss holds eps × the node-wise mass to its budget.  A line
-    whose coefficients overflow raises before any circle sum.
+    set and line order (the order follows the largest |ln p|); a call forms
+    the circle sums C(u_i, x) and y^{u_i} once per distinct point, on the
+    upper half line only: the circle is mirror-symmetric and G conjugate on
+    it, so C(conj u, x) = conj C(u, x), as MellinLine.contract needs.  One
+    contract takes C(u_i, x) y^{u_i} for every pair, and check_kernel_loss
+    holds eps × the node-wise mass Σ_i |coeff_i| Σ_j |g_j(x)| / |-u_i - 1 -
+    t_j|, which is |g(x)| @ ContourData.mass, to its budget.  A line whose
+    coefficients overflow raises before any circle sum.
     """
-    line, tcirc, log_g, weight = biorth_system(params).contour
-    if line.coeff is None:  # as contract would raise, after the circle sums
-        raise NonConvergent("Mellin-Barnes line coefficients overflow")
     log_pts = np.log(pts)
+    line, tcirc, log_g, weight, mass = biorth_system(params).contour(float(np.max(np.abs(log_pts))))
+    if mass is None:  # as contract would raise, after the circle sums
+        raise NonConvergent("Mellin-Barnes line coefficients overflow")
     g = np.exp(log_pts[:, None] * tcirc + log_g) * weight  # rows: points
 
-    # circle sums and their unsigned masses, by blocks of circle nodes
+    # circle sums, by blocks of circle nodes
     pole = -line.u - 1.0  # of the Cauchy factor, in t
     circ = np.zeros((len(pole), len(pts)), dtype=complex)
-    circ_abs = np.zeros((len(pole), len(pts)))
     for lo in range(0, len(tcirc), _CIRCLE_BLOCK):
         cauchy = pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK]
         np.reciprocal(cauchy, out=cauchy)  # in place: this division is most of a 1 x 1 call
         circ += cauchy @ g[:, lo : lo + _CIRCLE_BLOCK].T
-        circ_abs += np.abs(cauchy) @ np.abs(g[:, lo : lo + _CIRCLE_BLOCK]).T
 
     y_u = line._x_power(log_pts)
     vals = line.contract(lambda sl: circ[:, ix[sl]] * y_u[:, iy[sl]], len(ix))[0]
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
-        log_mass = np.log(np.abs(line.coeff[0]) @ circ_abs)  # per point x, without y^{-1/2}
+        log_mass = np.log(np.abs(g) @ mass)  # per point x, without y^{-1/2}
     check_kernel_loss("double contour", (_Q_ABSCISSA * log_pts)[iy] + log_mass[ix], vals, pts, ix, iy)
     return vals
 

@@ -626,16 +626,25 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     return MellinLine(u, w, lf)
 
 
-def gl_line(log_f, c: float, height: float, order: int) -> MellinLine:
-    """The float64 MellinLine on Re u = c, |Im u| <= height, of the rows
-    log_f(u), from width-2 Gauss-Legendre panels of the given order on the
-    upper half, weights doubled for the lower; one node a panel is
-    check_mirror's."""
-    t, w = gl_panels(np.polynomial.legendre.leggauss(order), np.append(np.arange(0.0, height - 1e-12, 2.0), height))
+def width2_edges(height: float) -> np.ndarray:
+    """Edges of width-2 panels over [0, height], the last one shorter."""
+    return np.append(np.arange(0.0, height - 1e-12, 2.0), height)
+
+
+def gl_line(log_f, c: float, edges: np.ndarray, order: int) -> MellinLine:
+    """The float64 MellinLine on Re u = c, |Im u| <= edges[-1], of the rows
+    log_f(u), from Gauss-Legendre panels of the given order between the
+    edges 0 = edges[0] < edges[1] < ... in Im u on the upper half, weights
+    doubled for the lower; one node a panel is check_mirror's.  A log_f in
+    longdouble gives coefficients w F(u) / 2π formed there and rounded once."""
+    t, w = gl_panels(np.polynomial.legendre.leggauss(order), edges)
     u = c + 1j * t
     lf = np.atleast_2d(log_f(u))
     check_mirror(log_f, u[::order], lf[:, ::order], _TOL)
-    return MellinLine(u, 2 * w, lf)
+    line = MellinLine(u, 2 * w, lf.astype(complex))
+    if lf.dtype != line.log_f.dtype and line.coeff is not None:
+        line.coeff = (np.exp(lf) * line.w / (2 * pi_in(np.longdouble))).astype(complex)
+    return line
 
 
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
@@ -681,7 +690,7 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
     def log_f(s):
         return _mb_log_integrand(spec, s) + (power * np.log(s) if power else 0)
 
-    return gl_line(log_f, c, height, order)
+    return gl_line(log_f, c, width2_edges(height), order)
 
 
 def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int) -> np.ndarray:

@@ -62,3 +62,29 @@ def test_finite_n_and_hard_edge_jobs_run(bench_modules):
             job.run()
         except WplError:
             assert job.known_fault, f"{job.name} raised without a known fault"
+
+
+def test_finite_n_jobs_build_one_contour_line_per_system(bench_modules, monkeypatch):
+    # every finite_n point keeps |ln p| within the low-order line's reach, so
+    # each system builds that line alone
+    from wpl import finite_kernel as fk
+
+    _, workloads = bench_modules
+    systems = []
+    init = fk.BiorthSystem.__init__
+
+    def recording_init(self, params):
+        init(self, params)
+        systems.append(self)
+
+    monkeypatch.setattr(fk.BiorthSystem, "__init__", recording_init)
+    fk.biorth_system.cache_clear()
+    for job in workloads.finite_n_jobs(1):
+        try:
+            job.run()
+        except WplError:
+            assert job.known_fault, f"{job.name} raised without a known fault"
+    fk.biorth_system.cache_clear()
+    built = [set(system._contours) for system in systems]
+    assert all(lines <= {fk._LOW_ORDER} for lines in built)
+    assert sum(map(len, built)) == 10  # the eight kernel sets, the CLI's and the N = 40 fault

@@ -328,7 +328,7 @@ def test_contour_circle_rule_at_its_hardest_geometry():
     # give the residue 1/(p - k) of 1/((t - k)(p - t)) for k inside, p outside
     sizes = {}
     for N in (1, 2, 5, 20, 40, 80):
-        contour = fk.biorth_system(EnsembleParams(N=N, r=1, s=0, nu=(0,))).contour
+        contour = fk.biorth_system(EnsembleParams(N=N, r=1, s=0, nu=(0,))).contour(0.0)
         t, w = contour.tcirc, contour.weight
         for nodes in (t, w):  # node m - j mirrors node j; θ = 0 and π are real
             assert np.array_equal(nodes[1:][::-1], np.conj(nodes[1:]))
@@ -367,16 +367,18 @@ def test_kernel_contour_data_holds_no_point_state():
     for point, first in ((a, first_a), (b, first_b)):  # each against a fresh system
         fk.biorth_system.cache_clear()
         assert fk.kernel_n_contour(p, *point).value == first
-    tcirc = fk.biorth_system(p).contour.tcirc
+    tcirc = fk.biorth_system(p).contour(0.0).tcirc
     assert np.array_equal(tcirc[1:][::-1], np.conj(tcirc[1:]))  # t_{m-j} = conj(t_j)
     assert tcirc[0].imag == 0.0
-    u = fk.biorth_system(p).contour.line.u
+    u = fk.biorth_system(p).contour(0.0).line.u
     assert np.all(u.imag > 0)  # the upper half line: the lower half is its mirror
 
 
 def test_kernel_contour_memory_bounded():
     # the line x circle matrices are formed in blocks of circle nodes; whole,
-    # they took 338 MiB at N = 40 (3456 x 3200 nodes).  The call peaks at 3.9 MiB
+    # they took 338 MiB at N = 40 (3456 x 3200 nodes).  The call peaks at
+    # 2.1 MiB on the graded order-16 line (544 nodes); on the uniform
+    # order-48 line (1440 nodes) 3.3 MiB, and 3.9 MiB with the node-wise mass sums
     p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
     tracemalloc.start()
     try:
@@ -384,9 +386,82 @@ def test_kernel_contour_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+    assert peak < 10 * 2**20
     laguerre_sum = sum(laguerre.Laguerre.basis(l)(10.0) ** 2 for l in range(40)) * math.exp(-10.0)
     assert value == pytest.approx(laguerre_sum, rel=1e-8)
+
+
+# the benchmark's eight finite_n kernel sets, N in {20, 10}
+FINITE_N_SETS = [EnsembleParams(N=N, r=r, s=s, nu=nu, mu=mu) for N in (20, 10)
+                 for (r, s), nu, mu in (((1, 0), (0,), ()), ((2, 0), (0, 1), ()), ((1, 1), (0,), (0,)),
+                                        ((2, 1), (0, 1), (0,)))]
+
+
+@pytest.mark.parametrize("params", FINITE_N_SETS, ids=lambda p: f"N{p.N}r{p.r}s{p.s}")
+def test_kernel_contour_mass_is_the_node_wise_sum(params):
+    # ContourData.mass puts the line's share of the unsigned mass on the
+    # circle once, so a call forms |g(x)| @ mass in place of Σ_i |coeff_i|
+    # Σ_j |g_j(x)| / |-u_i - 1 - t_j|: the same double sum, reordered
+    pts = np.geomspace(1e-3, 20.0, 9)
+    for reach in (0.0, 20.0):
+        line, tcirc, log_g, weight, mass = fk.biorth_system(params).contour(reach)
+        g = np.abs(np.exp(np.log(pts)[:, None] * tcirc + log_g) * weight)
+        node_wise = np.abs(line.coeff[0]) @ (1.0 / np.abs(-line.u[:, None] - 1.0 - tcirc) @ g.T)
+        np.testing.assert_allclose(g @ mass, node_wise, rtol=1e-13, atol=0.0)
+
+
+def test_kernel_contour_line_follows_point_oscillation():
+    # y^u oscillates like e^{iτ ln y} along the line; the order-16 line held
+    # for every call was 1.1e-6 of sqrt(K(x,x) K(y,y)) off at y = 1e-6 and
+    # 4.8 at y = 1e-9, and raised nothing
+    p = EnsembleParams(N=20, r=1, s=0, nu=(0,))
+    fk.biorth_system.cache_clear()
+    ls = np.arange(20)
+    for y in (1e-6, 1e-9):
+        value = fk.kernel_n_contour(p, 10.0, y).value
+        lx, ly = scipy.special.eval_laguerre(ls, 10.0), scipy.special.eval_laguerre(ls, y)
+        scale = math.sqrt((lx @ lx) * math.exp(-10.0) * (ly @ ly) * math.exp(-y))
+        assert abs(value - (lx @ ly) * math.exp(-y)) <= 1e-10 * scale
+    assert set(fk.biorth_system(p)._contours) == {fk._HIGH_ORDER}
+
+
+@pytest.mark.parametrize("params, x, y", [
+    (EnsembleParams(N=100, r=1, s=0, nu=(0,)), 5.0, 3e-4), (EnsembleParams(N=100, r=1, s=0, nu=(0,)), 1.0, 2.3e-4),
+    (EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,)), 1.0, 3e-4), (EnsembleParams(N=20, r=2, s=0, nu=(0, 1)), 5.0, 2.3e-4),
+], ids=["laguerre100-x5", "laguerre100-x1", "r2s1N20", "r2s0N20"])
+def test_kernel_contour_low_order_line_at_its_reach(params, x, y):
+    # |ln y| just inside _LOW_ORDER_REACH, at large N and at r = 2, where F's
+    # own phase, which turns like ln τ a gamma factor, adds to y^{iτ}'s
+    fk.biorth_system.cache_clear()
+    value = fk.kernel_n_contour(params, x, y).value
+    assert set(fk.biorth_system(params)._contours) == {fk._LOW_ORDER}
+    if params.r == 1:
+        ls = np.arange(params.N)
+        lx, ly = scipy.special.eval_laguerre(ls, x), scipy.special.eval_laguerre(ls, y)
+        ref, diag = (lx @ ly) * math.exp(-y), (lx @ lx) * math.exp(-x) * (ly @ ly) * math.exp(-y)
+    else:  # exact rational P x longdouble Q
+        pts = np.array([x, y], dtype=np.longdouble)
+        k = (_hiprec._p_matrix(params, pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
+        ref, diag = k[0, 1], k[0, 0] * k[1, 1]
+    assert abs(value - ref) <= 1e-10 * math.sqrt(diag)
+
+
+def test_kernel_contour_line_is_graded():
+    # panels as wide as the nearest pole allows: narrow next to the real
+    # axis, where the Cauchy poles come within 1/4 of the line, and 2 wide
+    # above.  The uniform order-48 line had 1440 upper nodes here
+    p = EnsembleParams(N=20, r=1, s=0, nu=(0,))
+    line = fk.biorth_system(p).contour(float(np.max(np.abs(np.log([1e-3, 20.0]))))).line
+    assert len(line.u) <= 700
+    assert np.all(line.u.imag > 0)  # Gauss-Legendre nodes: none on the axis, the lower half mirrored
+    # each panel's weights sum to twice its width, the lower half's share
+    # doubled, and the panels tile the upper half line from 0
+    t = line.u.imag.reshape(-1, fk._LOW_ORDER)
+    edges = np.concatenate([[0.0], np.cumsum(line.w.reshape(t.shape).sum(axis=1) / 2)])
+    assert np.all((edges[:-1, None] < t) & (t < edges[1:, None]))
+    assert np.all(np.diff(edges) <= 2.0 + 1e-12) and edges[1] < 1.0
+    # beyond the low order's reach the line is the uniform width-2 one, no longer
+    assert len(fk.biorth_system(p).contour(20.0).line.u) == 1440
 
 
 P11_N10 = EnsembleParams(N=10, r=1, s=1, nu=(0,), mu=(0,))
@@ -445,21 +520,39 @@ def test_kernel_contour_grid_raises_at_its_worst_pair(params, x):
     assert np.all(np.isfinite(fk.kernel_n_contour_grid(params, [0.5], [1.0])))
 
 
-def test_kernel_contour_grid_memory_bounded():
-    # circle sums and y^u are held per distinct point, on the upper half line:
-    # 400 points peak at 42.8 MiB (66.8 on the whole line); the bound leaves 7 MiB
+def assert_contour_grid_memory(y_min, order, bound_mib):
+    """A 200 x 200 Laguerre N = 40 grid whose smallest y is y_min: it takes
+    the line of the given order, peaks below bound_mib and is within 1e-8."""
     p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
     xs, ys = np.linspace(0.5, 20.0, 200), np.linspace(0.25, 19.75, 200)
+    ys[0] = y_min
+    fk.biorth_system.cache_clear()
     tracemalloc.start()
     try:
         grid = fk.kernel_n_contour_grid(p, xs, ys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert set(fk.biorth_system(p)._contours) == {order}
+    assert peak < bound_mib * 2**20
     lx, ly = (np.array([scipy.special.eval_laguerre(l, v) for l in range(40)]) for v in (xs, ys))
     scale = np.sqrt(np.outer((lx * lx).sum(axis=0) * np.exp(-xs), (ly * ly).sum(axis=0) * np.exp(-ys)))
     assert np.all(np.abs(grid - (lx.T @ ly) * np.exp(-ys)) <= 1e-8 * scale)
+
+
+def test_kernel_contour_grid_memory_bounded():
+    # circle sums and y^u are held per distinct point, on the upper half line:
+    # 400 points peak at 15.8 MiB on the graded order-16 line (544 nodes;
+    # 42.8 on the uniform order-48 line with the node-wise mass sums, 66.8
+    # on the whole line); the bound leaves 8 MiB
+    assert_contour_grid_memory(0.25, fk._LOW_ORDER, 24)
+
+
+def test_kernel_contour_grid_memory_bounded_on_the_order48_line():
+    # one point with |ln y| beyond the order-16 line's reach puts the grid on
+    # the uniform order-48 line (1440 nodes): 400 points peak at 38.4 MiB
+    # there; the bound leaves 6.6 MiB
+    assert_contour_grid_memory(1e-4, fk._HIGH_ORDER, 45)
 
 
 def test_rho_k_matches_laguerre_at_N40():

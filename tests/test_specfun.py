@@ -246,7 +246,7 @@ def _exp_log_f(dtype=np.float64, phase=0.0, above=0.0):
 
 def _exp_line(phase=0.0, above=0.0):
     """e^{-x} as a Gauss-Legendre MellinLine on Re s = -1/2."""
-    return sf.gl_line(_exp_log_f(np.float64, phase, above), -0.5, 30.0, 32)
+    return sf.gl_line(_exp_log_f(np.float64, phase, above), -0.5, np.arange(0.0, 31.0, 2.0), 32)
 
 
 def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
@@ -365,8 +365,9 @@ def test_contour_line_eval_matches_direct_exp():
     from wpl import finite_kernel as fk
     from wpl.freeprob import EnsembleParams
 
-    line = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))).contour.line
-    assert_eval_matches_direct_exp(line, np.geomspace(1e-28, 1e18, 93))
+    system = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,)))
+    for reach in (0.0, 64.5):  # the low- and the high-order line
+        assert_eval_matches_direct_exp(system.contour(reach).line, np.geomspace(1e-28, 1e18, 93))
 
 
 def assert_contract_matches_whole_line(line, basis, vals):
@@ -390,8 +391,8 @@ def test_contour_pairs_match_whole_line():
     from wpl.freeprob import EnsembleParams
 
     params = EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,))
-    line, tcirc, log_g, weight = fk.biorth_system(params).contour
     pts = np.geomspace(0.1, 10.0, 5)
+    line, tcirc, log_g, weight, _ = fk.biorth_system(params).contour(float(np.max(np.abs(np.log(pts)))))
     ix, iy = _all_pairs(pts)
     g = np.exp(np.log(pts)[:, None] * tcirc + log_g) * weight
 
