@@ -2,9 +2,9 @@
 
 Each check returns a CheckResult with the computed figure, its reference,
 the tolerance, and pass/fail.  The CLI `acceptance` subcommand and the
-test suite both run exactly these.  Statistical tolerances can be scaled
-(tol_scale) to demonstrate failure semantics; identity tolerances are
-pinned.
+test suite both run exactly these, through run_checks, which times each.
+Statistical tolerances can be scaled (tol_scale) to demonstrate failure
+semantics; identity tolerances are pinned.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class CheckResult:
     reference: float
     tolerance: float
     passed: bool
-    seconds: float
     detail: dict = field(default_factory=dict)
+    seconds: float = 0.0  # set by run_checks
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -51,7 +51,6 @@ def _marchenko_pastur(y: np.ndarray) -> np.ndarray:
 
 
 def check_mp_recovery(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     xs = np.linspace(0.1, 3.9, 50)
     exact = _marchenko_pastur(xs)
     solver = fp.stieltjes_density(1, 0, xs)
@@ -60,12 +59,11 @@ def check_mp_recovery(tol_scale: float = 1.0) -> CheckResult:
         "stieltjes_density": float(np.max(np.abs(solver - exact))),
     }
     err = max(detail.values())
-    return CheckResult("01_marchenko_pastur", err, 0.0, 1e-8, err <= 1e-8, time.time() - t0, detail)
+    return CheckResult("01_marchenko_pastur", err, 0.0, 1e-8, err <= 1e-8, detail)
 
 
 def check_closed_forms(tol_scale: float = 1.0) -> CheckResult:
     """Solver route against the phi-parametric density, two computations."""
-    t0 = time.time()
     grids = {}
     for r in (2, 3):
         # the s = 0 points x(phi) of the trigonometric parametrisation
@@ -79,11 +77,10 @@ def check_closed_forms(tol_scale: float = 1.0) -> CheckResult:
         solver = fp.stieltjes_density(r, s, xs)
         detail[name] = float(np.max(np.abs(solver - fp.global_density(r, s, xs))))
     worst = max(detail.values())
-    return CheckResult("02_closed_form_crosschecks", worst, 0.0, 1e-8, worst <= 1e-8, time.time() - t0, detail)
+    return CheckResult("02_closed_form_crosschecks", worst, 0.0, 1e-8, worst <= 1e-8, detail)
 
 
 def check_fuss_catalan(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     exact_ok = all(fp.fuss_catalan_recurrence_check(r, 6) for r in range(1, 5))
     params = EnsembleParams(N=200, r=2, s=0, nu=(0, 0))
     samples = sp.sample_spectra(params, 200, sp.RngStream(33), scaling=sp.Scaling.GLOBAL)
@@ -94,24 +91,22 @@ def check_fuss_catalan(tol_scale: float = 1.0) -> CheckResult:
     worst = max(rels)
     passed = exact_ok and worst <= tol
     return CheckResult(
-        "03_fuss_catalan", worst, 0.0, tol, passed, time.time() - t0,
+        "03_fuss_catalan", worst, 0.0, tol, passed,
         {"recurrence_exact": exact_ok, "moment_rel_errors": rels},
     )
 
 
 def check_arcsine_spectrum(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     params = EnsembleParams(N=200, r=1, s=1, nu=(0,), mu=(0,))
     samples = sp.sample_spectra(params, 100, sp.RngStream(44))
     lam = 1.0 / (1.0 + np.concatenate([s.eigenvalues for s in samples]))
     ecdf = sp.empirical_cdf(lam)
     ks = sp.sup_distance(ecdf, lambda t: (2.0 / math.pi) * np.arcsin(np.sqrt(np.clip(t, 0, 1))))
     tol = 0.03 * tol_scale
-    return CheckResult("04_arcsine_spectrum", ks, 0.0, tol, ks <= tol, time.time() - t0)
+    return CheckResult("04_arcsine_spectrum", ks, 0.0, tol, ks <= tol)
 
 
 def check_charpoly_mc(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     params = EnsembleParams(N=3, r=2, s=1, nu=(0, 1), mu=(0,))
     lam = np.array([0.5, 1.0, 2.0])
     mean, err = sp.mc_charpoly(params, lam, 100_000, sp.RngStream(55))
@@ -126,7 +121,7 @@ def check_charpoly_mc(tol_scale: float = 1.0) -> CheckResult:
     tol = 3.0 * tol_scale
     passed = zmax <= tol and sym_err <= 1e-12
     return CheckResult(
-        "05_charpoly_mc", zmax, 0.0, tol, passed, time.time() - t0,
+        "05_charpoly_mc", zmax, 0.0, tol, passed,
         {"means": mean.tolist(), "exact": exact.tolist(), "stderr": err.tolist(), "symmetry_err": sym_err},
     )
 
@@ -140,7 +135,6 @@ _BIORTH_SETS = (
 
 
 def check_biorthogonality(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     detail = {}
     worst = 0.0
     for params in _BIORTH_SETS:
@@ -148,11 +142,10 @@ def check_biorthogonality(tol_scale: float = 1.0) -> CheckResult:
         err = float(np.max(np.abs(gram - np.eye(params.N))))
         detail[f"rs_{params.r}{params.s}"] = err
         worst = max(worst, err)
-    return CheckResult("06_biorthogonality", worst, 0.0, 1e-8, worst <= 1e-8, time.time() - t0, detail)
+    return CheckResult("06_biorthogonality", worst, 0.0, 1e-8, worst <= 1e-8, detail)
 
 
 def check_kernel_identity(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     rng = np.random.default_rng(7)
     worst = 0.0
     for params in (
@@ -164,35 +157,32 @@ def check_kernel_identity(tol_scale: float = 1.0) -> CheckResult:
             a = fk.kernel_n(params, float(x), float(y)).value
             b = fk.kernel_n_contour(params, float(x), float(y)).value
             worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-    return CheckResult("07_kernel_identity", worst, 0.0, 1e-8, worst <= 1e-8, time.time() - t0)
+    return CheckResult("07_kernel_identity", worst, 0.0, 1e-8, worst <= 1e-8)
 
 
 def check_trace_projection(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     params = EnsembleParams(N=4, r=2, s=1, nu=(0, 0), mu=(0,))
     trace_err = abs(fk.kernel_trace(params) - 4.0)
     k = fk.kernel_n(params, 1.0, 2.0).value
     rep_err = abs(fk.kernel_reproduce(params, 1.0, 2.0) - k)
     worst = max(trace_err, rep_err)
     return CheckResult(
-        "08_trace_projection", worst, 0.0, 1e-6, worst <= 1e-6, time.time() - t0,
+        "08_trace_projection", worst, 0.0, 1e-6, worst <= 1e-6,
         {"trace_err": trace_err, "reproduce_err": rep_err},
     )
 
 
 def check_bessel_reduction(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     xs = np.linspace(0.1, 10.0, 30)
     worst = 0.0
     for a in (0, 1, 2):
         params = HardEdgeParams(r=1, nu=(a,))
         diff = np.abs(he.k_hard_diag(params, xs) - he.bessel_density(a, xs))
         worst = max(worst, float(np.max(diff)))
-    return CheckResult("09_bessel_reduction", worst, 0.0, 1e-6, worst <= 1e-6, time.time() - t0)
+    return CheckResult("09_bessel_reduction", worst, 0.0, 1e-6, worst <= 1e-6)
 
 
 def check_cd_equivalence(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     params = HardEdgeParams(r=2, nu=(0, 0))
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -205,11 +195,10 @@ def check_cd_equivalence(tol_scale: float = 1.0) -> CheckResult:
         b = he.k_hard_cd(params, float(x), float(y)).value
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
         pairs += 1
-    return CheckResult("10_cd_equivalence", worst, 0.0, 1e-6, worst <= 1e-6, time.time() - t0)
+    return CheckResult("10_cd_equivalence", worst, 0.0, 1e-6, worst <= 1e-6)
 
 
 def check_hard_edge_convergence(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     grid = np.linspace(0.2, 4.0, 6)
     ph = HardEdgeParams(r=2, nu=(0, 0))
     k_lim = he.k_hard_grid(ph, grid, grid)
@@ -233,11 +222,10 @@ def check_hard_edge_convergence(tol_scale: float = 1.0) -> CheckResult:
     detail["extrapolated_mu_diff"] = mu_diff
     ok = ok and mu_diff < 0.01
     worst = max(detail["mu0_devs"][-1], detail["mu3_devs"][-1])
-    return CheckResult("11_hard_edge_convergence", worst, 0.0, 0.05, ok, time.time() - t0, detail)
+    return CheckResult("11_hard_edge_convergence", worst, 0.0, 0.05, ok, detail)
 
 
 def check_charpoly_hard_limit(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     params = HardEdgeParams(r=2, nu=(0, 0))
     lam = 1.0
     limit = he.charpoly_hard_limit(params, lam)
@@ -247,13 +235,12 @@ def check_charpoly_hard_limit(tol_scale: float = 1.0) -> CheckResult:
     final_dev = diffs[-1] / abs(limit)
     ok = max(ratios) < 0.6 and final_dev < 0.01
     return CheckResult(
-        "12_charpoly_hard_limit", final_dev, 0.0, 0.01, ok, time.time() - t0,
+        "12_charpoly_hard_limit", final_dev, 0.0, 0.01, ok,
         {"diffs": diffs, "ratios": ratios},
     )
 
 
 def check_tail_experiment(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     detail = {}
     worst = 0.0
     for r in (2, 3):
@@ -262,11 +249,10 @@ def check_tail_experiment(tol_scale: float = 1.0) -> CheckResult:
         detail[f"r{r}"] = rep
         worst = max(worst, abs(rep["mean_ratio"] - 1.0))
     tol = 0.05 * tol_scale
-    return CheckResult("13_tail_experiment", worst, 0.0, tol, worst <= tol, time.time() - t0, detail)
+    return CheckResult("13_tail_experiment", worst, 0.0, tol, worst <= tol, detail)
 
 
 def check_cauchy_bridge(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.time()
     N, draws = 60, 500
     rng = sp.RngStream(seed=1414)
     vals = []
@@ -280,7 +266,7 @@ def check_cauchy_bridge(tol_scale: float = 1.0) -> CheckResult:
     ecdf = sp.empirical_cdf(np.array(vals))
     ks = sp.sup_distance(ecdf, lambda t: np.interp(t, xs, cum) / cum[-1])
     tol = 0.05 * tol_scale
-    return CheckResult("14_cauchy_bridge", ks, 0.0, tol, ks <= tol, time.time() - t0, {"count": len(vals)})
+    return CheckResult("14_cauchy_bridge", ks, 0.0, tol, ks <= tol, {"count": len(vals)})
 
 
 ALL_CHECKS: dict[str, Callable[[float], CheckResult]] = {
@@ -305,7 +291,9 @@ def run_checks(names=None, tol_scale: float = 1.0, report=print) -> list[CheckRe
     selected = list(ALL_CHECKS) if not names else list(names)
     results = []
     for name in selected:
+        t0 = time.perf_counter()
         res = ALL_CHECKS[name](tol_scale)
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if report is not None:
             report(res.line())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
     ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line,
-    kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line, width2_edges,
+    kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -40,17 +40,22 @@ _CIRCLE_BLOCK = 64
 # of its clustered share falls like e^{-_CIRCLE_DECAY}, and its uniform share
 # has _CIRCLE_SPREAD + _CIRCLE_GROWTH max(r - 1, 0) R nodes.  Against a uniform
 # rule of 120 N nodes, K to 1e-13 of itself needs up to 32 uniform nodes at
-# r = 1 (x = 0.01), 96 at (40,2,0) and 192 at (40,3,0), with a decay of 30
+# r = 1 (x = 0.01), 96 at (40,2,0) and 192 at (40,3,0), with a decay of 30.
+# Reach bucket m refines that rule by _CIRCLE_REACH (m - 1) R nodes: against
+# the same uniform rule, in longdouble, on every pair the double contour
+# returns, 16 R bring buckets 2 and 3 to 3e-12 of sqrt(K(x,x) K(y,y)) and
+# 24 R bucket 4 to 6.4e-12 (Laguerre N = 10 and 40, (10,2,0), (10,3,0),
+# (10,1,1), (10,2,1); 8 R left bucket 4 at 3e-10, 12 R at 1.2e-11)
 _CIRCLE_DECAY = 36.0
 _CIRCLE_SPREAD = 32.0
 _CIRCLE_GROWTH = 5.0
-# the Gauss-Legendre orders of kernel_n_contour's two lines: on a width-2
-# panel, n nodes integrate the y^{iτ} oscillation e^{iωτ} to the line
-# tolerance for ω up to about n / 1.9, so the graded low-order line
-# (_graded_edges) serves every call whose points keep |ln p| <=
-# _LOW_ORDER_REACH, and the uniform width-2 high-order line every other call
-_LOW_ORDER, _HIGH_ORDER = 16, 48
-_LOW_ORDER_REACH = _LOW_ORDER / 1.9
+_CIRCLE_REACH = 24.0
+# kernel_n_contour's line order: on a width-2 panel, n Gauss-Legendre nodes
+# integrate the y^{iτ} oscillation e^{iωτ} to the line tolerance for ω up to
+# about n / 1.9, so panels of width 2/m serve points with |ln p| <= m
+# _LINE_REACH, the reach bucket m of BiorthSystem.contour
+_LINE_ORDER = 16
+_LINE_REACH = _LINE_ORDER / 1.9
 # settling tolerance of the float64 ln-x trapezoid grid, on the trace
 # ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
 # where q_matrix leaves the -1/2 line, that line has lost up to 2.3e-9 of
@@ -152,7 +157,7 @@ def p_n(params: EnsembleParams, n: int, x):
 
 class ContourData(NamedTuple):
     """The point-free parts of kernel_n_contour for one parameter set and
-    line order."""
+    reach bucket."""
 
     line: MellinLine  # F(u) on the upper half of Re u = -1/2
     tcirc: np.ndarray  # circle nodes t_j, tcirc[m - j] = conj(tcirc[j]) exactly
@@ -163,30 +168,31 @@ class ContourData(NamedTuple):
     mass: np.ndarray | None
 
 
-def _graded_edges(height: float, poles: np.ndarray) -> np.ndarray:
+def _graded_edges(height: float, poles: np.ndarray, bucket: int) -> np.ndarray:
     """Panel edges 0 = e_0 < e_1 < ... = height along a line, each panel
-    as wide as its nearest singularity allows, and at most 2, the width
-    for which _LOW_ORDER_REACH is set.
+    as wide as its nearest singularity allows, and at most 2 / bucket, the
+    width at which order _LINE_ORDER resolves points with |ln p| <= bucket
+    _LINE_REACH.
 
     poles holds the integrand's singular points in the line's own
-    coordinate τ (u = c + iτ).  Gauss-Legendre of order n = _LOW_ORDER on a
+    coordinate τ (u = c + iτ).  Gauss-Legendre of order n = _LINE_ORDER on a
     panel converges like ρ^{-2n}, ρ the largest Bernstein ellipse
     around the panel that holds no pole; ρ is set so that this meets the
     line tolerance.  A panel [a, a + 2h] keeps the pole z outside that
     ellipse, |z - a| + |z - a - 2h| >= h (ρ + 1/ρ), exactly when
     h <= (2A|z - a| - 4 Re(z - a)) / (A² - 4), A = ρ + 1/ρ.
     """
-    rho = line_tol(np.float64) ** (-0.5 / _LOW_ORDER)
+    rho = line_tol(np.float64) ** (-0.5 / _LINE_ORDER)
     a = rho + 1.0 / rho
     edges = [0.0]
     while edges[-1] < height:
         d = poles - edges[-1]
-        half = min(1.0, float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real)) / (a * a - 4.0))
+        half = min(1.0 / bucket, float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real)) / (a * a - 4.0))
         edges.append(min(edges[-1] + 2.0 * half, height))
     return np.array(edges)
 
 
-def _graded_circle(radius: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _graded_circle(radius: float, r: int, bucket: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes e^{iθ_j} of the unit circle and the factors of dt/(2πi) at
     t_j = center + radius e^{iθ_j}: the trapezoid rule in φ, φ_j = 2πj/m,
     under the map θ(φ) that inverts
@@ -201,13 +207,18 @@ def _graded_circle(radius: float, r: int) -> tuple[np.ndarray, np.ndarray]:
     share's error falls like e^{-m_T κ / 2} with m_T = 2 _CIRCLE_DECAY / κ
     nodes, about 72 sqrt(N); a uniform rule needs m ∝ N.  The uniform
     share a keeps the middle of the circle resolved, where the circle
-    terms x^t G(t) grow with r and radius.  The nodes are exact conjugate
-    mirrors, node m - j of node j, with θ = 0 and π exactly real.
+    terms x^t G(t) grow with r and radius.  Points with |ln x| up to
+    bucket _LINE_REACH, where x^t = x^center e^{radius ln x e^{iθ}} varies
+    like e^{radius |ln x|}, take the same map at _CIRCLE_REACH (bucket - 1)
+    radius more nodes; a wider uniform share in their place needed some
+    2.5 times as many.  The nodes are exact conjugate mirrors, node m - j
+    of node j, with θ = 0 and π exactly real.
     """
     kappa = min(1.0, math.sqrt(0.5 / radius))  # at N = 1 (radius 1/4) a uniform rule
     clustered = 2.0 * _CIRCLE_DECAY / kappa
     m = 2 * math.ceil(0.5 * (clustered + _CIRCLE_SPREAD + _CIRCLE_GROWTH * max(r - 1, 0) * radius))
     share = 1.0 - clustered / m
+    m += 2 * math.ceil(0.5 * _CIRCLE_REACH * (bucket - 1) * radius)
 
     def dphi(theta):  # dφ/dθ
         return share + (1.0 - share) * kappa / ((kappa * np.cos(theta)) ** 2 + np.sin(theta) ** 2)
@@ -246,7 +257,7 @@ class BiorthSystem:
     the Gram matrix needs; any other points in float64.  A parameter set
     has one accuracy, so `biorth_system` caches on the parameters alone.
     Each line is built on first use, once per (regime, dtype), and so are
-    kernel_n_contour's circle and its line, once per order (`contour`):
+    kernel_n_contour's circle and line, once per reach bucket (`contour`):
     construction computes only ln |C_l| and cannot raise.  q_matrix and
     p_matrix, the sum route, raise NonConvergent if a C_l is beyond the
     float64 range (the Q rows carry 1/|C_l|, and P_l's prefactor is a
@@ -259,18 +270,10 @@ class BiorthSystem:
         self._lines: dict[tuple, MellinLine] = {}
         self._contours: dict[int, ContourData] = {}
 
-    @cached_property
-    def _circle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """kernel_n_contour's circle nodes t_j, ln G(t_j) and dt/(2πi) factors."""
-        p, N = self.params, self.params.N
-        radius = 0.5 * N - 0.25
-        turn, weight = _graded_circle(radius, p.r)
-        tcirc = 0.5 * (N - 1) + radius * turn
-        return tcirc, ln_gamma(tcirc - N + 1.0) - _log_gammas(p, -tcirc - 1.0), weight
-
     def contour(self, reach: float) -> ContourData:
         """kernel_n_contour's outer line and circle for points p with
-        |ln p| <= reach, built on first use.
+        |ln p| <= reach, built on first use, one per reach bucket m =
+        max(1, ceil(reach / _LINE_REACH)).
 
         F is the Q lines' gamma product with l = N, unnormalised, on the
         upper half of Re u = -1/2 up to the end-decay height; G(t) =
@@ -278,45 +281,48 @@ class BiorthSystem:
         t = 0..N-1 (center (N-1)/2, radius N/2 - 1/4) at least 1/4 from the
         line.  The circle's nodes are graded (`_graded_circle`): densest at
         t = -1/4 and N - 3/4, where it passes the poles t = 0 and N - 1 and
-        the line's Cauchy poles, 1/4 away.  Up to reach _LOW_ORDER_REACH
-        the line has _LOW_ORDER Gauss-Legendre panels graded too
+        the line's Cauchy poles, 1/4 away, and refined as m grows.  The
+        line has _LINE_ORDER Gauss-Legendre panels graded too
         (`_graded_edges`), by the Cauchy poles u = -1 - t_j and F's nearest
         pole, u = min ν: narrow next to the real axis, where both come
-        within 1/4 and 1/2 of the line, and 2 wide above.  Its fewer nodes
-        each carry more of the sum, so its coefficients are formed from a
+        within 1/4 and 1/2 of the line, and 2/m wide above.  Its few nodes
+        each carry much of the sum, so its coefficients are formed from a
         longdouble ln F, which keeps the rounding of F at eps (a float64
-        ln F of a few hundred carries some 1e-13).  Beyond that reach the
-        line has width-2 _HIGH_ORDER panels.  A system holds at most these
-        two lines, and one node of each panel is check_mirror's.
+        ln F of a few hundred carries some 1e-13).  One node of each panel
+        is check_mirror's.
         """
-        order = _LOW_ORDER if reach <= _LOW_ORDER_REACH else _HIGH_ORDER
-        if order in self._contours:
-            return self._contours[order]
+        bucket = max(1, math.ceil(reach / _LINE_REACH))
+        if bucket in self._contours:
+            return self._contours[bucket]
         p, N = self.params, self.params.N
-        tcirc, log_g, weight = self._circle
+        radius = 0.5 * N - 0.25
+        turn, weight = _graded_circle(radius, p.r, bucket)
+        tcirc = 0.5 * (N - 1) + radius * turn
+        # ln G in longdouble beyond bucket 1, rounded once: there the circle's
+        # largest terms x^{-1/4} |G| outgrow K, and the float64 ln Γ's 1e-13
+        # with them (Laguerre x = y = 2e-12: 3.8e-10 off, 1.1e-11 in longdouble
+        # at N = 40).  Bucket 1 keeps the float64 ln Γ, 0.2 ms a circle where
+        # the longdouble one takes 2-3.5 ms, about as long as the rest of a build
+        lg, t = (ln_gamma, tcirc) if bucket == 1 else (_hiprec.lngamma, tcirc.astype(np.clongdouble))
+        log_g = (lg(t - N + 1.0) - _log_gammas(p, -t - 1.0, lg)).astype(complex)
 
-        def log_f(u):
-            return _log_gammas(p, u) - ln_gamma(-N - u)
-
-        def log_f_ld(u):  # Γ(-u)/Γ(-N-u) = (-u-1)...(-u-N), as in _q_log_rows; it overflows only where F does
+        def log_f(u):  # Γ(-u)/Γ(-N-u) = (-u-1)...(-u-N), as in _q_log_rows; it overflows only where F does
             ratio = np.ones(len(u), dtype=np.clongdouble)
             for k in range(1, N + 1):
                 ratio *= -u - k
             return _log_shared_gammas(p, u, _hiprec.lngamma) + np.log(ratio)
 
-        height = end_decay_height(log_f, _Q_ABSCISSA)
-        if order == _LOW_ORDER:  # the poles in τ = (u + 1/2)/i: u = -1 - t_j and u = min ν
-            edges = _graded_edges(height, np.append(1j * (tcirc + 0.5), -1j * (min(p.nu) + 0.5)))
-            line = gl_line(log_f_ld, _Q_ABSCISSA, edges, order)
-        else:
-            line = gl_line(log_f, _Q_ABSCISSA, width2_edges(height), order)
+        # the poles in τ = (u + 1/2)/i: u = -1 - t_j and u = min ν
+        poles = np.append(1j * (tcirc + 0.5), -1j * (min(p.nu) + 0.5))
+        edges = _graded_edges(end_decay_height(log_f, _Q_ABSCISSA), poles, bucket)
+        line = gl_line(log_f, _Q_ABSCISSA, edges, _LINE_ORDER)
         mass = None
         if line.coeff is not None:
             # Σ_i |coeff_i| / |-u_i - 1 - t_j| in blocks of circle nodes, as the circle sums
             pole, coeff = -line.u - 1.0, np.abs(line.coeff[0])
             mass = np.concatenate([coeff @ (1.0 / np.abs(pole[:, None] - tcirc[None, lo : lo + _CIRCLE_BLOCK]))
                                    for lo in range(0, len(tcirc), _CIRCLE_BLOCK)])
-        data = self._contours[order] = ContourData(line, tcirc, log_g, weight, mass)
+        data = self._contours[bucket] = ContourData(line, tcirc, log_g, weight, mass)
         return data
 
     def _geometry(self, regime):
@@ -434,7 +440,7 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
     for pairs that include every (p, p).
 
     The line and circle are BiorthSystem.contour, built once per parameter
-    set and line order (the order follows the largest |ln p|); a call forms
+    set and reach bucket (the bucket follows the largest |ln p|); a call forms
     the circle sums C(u_i, x) and y^{u_i} once per distinct point, on the
     upper half line only: the circle is mirror-symmetric and G conjugate on
     it, so C(conj u, x) = conj C(u, x), as MellinLine.contract needs.  One

@@ -158,6 +158,15 @@ def effective_workers(requested: int) -> int:
     return max(1, min(requested, cap_n))
 
 
+def _map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in order, on effective_workers(workers) threads."""
+    n_workers = effective_workers(workers)
+    if n_workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def sample_spectra(
     params: EnsembleParams,
     draws: int,
@@ -171,11 +180,7 @@ def sample_spectra(
         s = sample_product_spectrum(params, rng.substream(i))
         return rescale(s, scaling) if scaling is not Scaling.RAW else s
 
-    n_workers = effective_workers(workers)
-    if n_workers == 1:
-        return [one(i) for i in range(draws)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(one, range(draws)))
+    return _map(one, range(draws), workers)
 
 
 # --------------------------------------------------------------------------
@@ -215,13 +220,7 @@ def mc_charpoly(
         idx, size = arg
         return _charpoly_chunk(params, lam_arr, rng.substream(idx), size)
 
-    n_workers = effective_workers(workers)
-    if n_workers == 1:
-        parts = [one(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(one, chunks))
-    vals = np.concatenate(parts, axis=1)
+    vals = np.concatenate(_map(one, chunks, workers), axis=1)
     mean = vals.mean(axis=1)
     stderr = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
     if scalar:
@@ -314,21 +313,25 @@ def sup_distance(ecdf: EmpiricalCdf, analytic_cdf) -> float:
     return float(np.max(np.maximum(np.abs(steps_hi - f), np.abs(f - steps_lo))))
 
 
+# CdfFromDensity's uniform panels over [lo, hi] and their Gauss-Legendre order
+_CDF_PANELS, _CDF_ORDER = 512, 12
+
+
 class CdfFromDensity:
     """CDF of a density callback via panelwise Gauss-Legendre accumulation."""
 
-    def __init__(self, density, lo: float, hi: float, n_panels: int = 512, order: int = 12):
+    def __init__(self, density, lo: float, hi: float):
         self.lo, self.hi = float(lo), float(hi)
-        edges = np.linspace(self.lo, self.hi, n_panels + 1)
+        edges = np.linspace(self.lo, self.hi, _CDF_PANELS + 1)
         # the first panel is split geometrically down to 1e-12 of its width:
         # the global densities have an integrable x^{-r/(r+1)} singularity at
         # lo = 0, where one uniform panel lost 2% of the mass at r = 2 and
         # linear interpolation across it was off by 0.07
         grade = self.lo + (edges[1] - self.lo) * np.geomspace(1e-12, 1.0, 40)
         edges = np.concatenate([[self.lo], grade, edges[2:]])
-        nodes, weights = gl_panels(np.polynomial.legendre.leggauss(order), edges)
+        nodes, weights = gl_panels(np.polynomial.legendre.leggauss(_CDF_ORDER), edges)
         vals = np.asarray(density(nodes), dtype=float)
-        panel = (vals * weights).reshape(-1, order).sum(axis=1)
+        panel = (vals * weights).reshape(-1, _CDF_ORDER).sum(axis=1)
         self.edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(panel)])
         self.total = self.cum[-1]

@@ -65,8 +65,8 @@ def test_finite_n_and_hard_edge_jobs_run(bench_modules):
 
 
 def test_finite_n_jobs_build_one_contour_line_per_system(bench_modules, monkeypatch):
-    # every finite_n point keeps |ln p| within the low-order line's reach, so
-    # each system builds that line alone
+    # every finite_n point keeps |ln p| within the first reach bucket, so
+    # each system builds that bucket's line and circle alone
     from wpl import finite_kernel as fk
 
     _, workloads = bench_modules
@@ -86,5 +86,5 @@ def test_finite_n_jobs_build_one_contour_line_per_system(bench_modules, monkeypa
             assert job.known_fault, f"{job.name} raised without a known fault"
     fk.biorth_system.cache_clear()
     built = [set(system._contours) for system in systems]
-    assert all(lines <= {fk._LOW_ORDER} for lines in built)
+    assert all(buckets <= {1} for buckets in built)
     assert sum(map(len, built)) == 10  # the eight kernel sets, the CLI's and the N = 40 fault

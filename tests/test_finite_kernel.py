@@ -377,8 +377,9 @@ def test_kernel_contour_data_holds_no_point_state():
 def test_kernel_contour_memory_bounded():
     # the line x circle matrices are formed in blocks of circle nodes; whole,
     # they took 338 MiB at N = 40 (3456 x 3200 nodes).  The call peaks at
-    # 2.1 MiB on the graded order-16 line (544 nodes); on the uniform
-    # order-48 line (1440 nodes) 3.3 MiB, and 3.9 MiB with the node-wise mass sums
+    # 2.1 MiB on the graded line of reach bucket 1 (544 nodes); on the
+    # uniform order-48 line it replaced (1440 nodes) 3.3 MiB, and 3.9 MiB with
+    # the node-wise mass sums
     p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
     tracemalloc.start()
     try:
@@ -411,18 +412,23 @@ def test_kernel_contour_mass_is_the_node_wise_sum(params):
 
 
 def test_kernel_contour_line_follows_point_oscillation():
-    # y^u oscillates like e^{iτ ln y} along the line; the order-16 line held
-    # for every call was 1.1e-6 of sqrt(K(x,x) K(y,y)) off at y = 1e-6 and
-    # 4.8 at y = 1e-9, and raised nothing
-    p = EnsembleParams(N=20, r=1, s=0, nu=(0,))
-    fk.biorth_system.cache_clear()
-    ls = np.arange(20)
-    for y in (1e-6, 1e-9):
-        value = fk.kernel_n_contour(p, 10.0, y).value
-        lx, ly = scipy.special.eval_laguerre(ls, 10.0), scipy.special.eval_laguerre(ls, y)
-        scale = math.sqrt((lx @ lx) * math.exp(-10.0) * (ly @ ly) * math.exp(-y))
-        assert abs(value - (lx @ ly) * math.exp(-y)) <= 1e-10 * scale
-    assert set(fk.biorth_system(p)._contours) == {fk._HIGH_ORDER}
+    # y^u oscillates like e^{iτ ln y} along the line, and x^t like
+    # e^{i R ln x sin θ} around the circle; both rules grow with the reach
+    # bucket.  The first bucket's line held for every call was 1.1e-6 of
+    # sqrt(K(x,x) K(y,y)) off at y = 1e-6 and 4.8 at y = 1e-9; the first
+    # bucket's circle gave the diagonal 2.5e-8 (N = 10) and 1.0e-7 (N = 40)
+    # off at 2e-12, and the order-48 line with that circle 2.4e-7 and
+    # 1.8e-7; none of these raised
+    for N, x, y, bucket in ((20, 10.0, 1e-6, 2), (20, 10.0, 1e-9, 3), (10, 1e-10, 1e-10, 3),
+                            (10, 2e-12, 2e-12, 4), (40, 1e-10, 1e-10, 3), (40, 2e-12, 2e-12, 4)):
+        p = EnsembleParams(N=N, r=1, s=0, nu=(0,))
+        fk.biorth_system.cache_clear()
+        ls = np.arange(N)
+        value = fk.kernel_n_contour(p, x, y).value
+        lx, ly = scipy.special.eval_laguerre(ls, x), scipy.special.eval_laguerre(ls, y)
+        scale = math.sqrt((lx @ lx) * math.exp(-x) * (ly @ ly) * math.exp(-y))
+        assert abs(value - (lx @ ly) * math.exp(-y)) <= 1e-10 * scale, (N, x, y)
+        assert set(fk.biorth_system(p)._contours) == {bucket}
 
 
 @pytest.mark.parametrize("params, x, y", [
@@ -430,11 +436,12 @@ def test_kernel_contour_line_follows_point_oscillation():
     (EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,)), 1.0, 3e-4), (EnsembleParams(N=20, r=2, s=0, nu=(0, 1)), 5.0, 2.3e-4),
 ], ids=["laguerre100-x5", "laguerre100-x1", "r2s1N20", "r2s0N20"])
 def test_kernel_contour_low_order_line_at_its_reach(params, x, y):
-    # |ln y| just inside _LOW_ORDER_REACH, at large N and at r = 2, where F's
-    # own phase, which turns like ln τ a gamma factor, adds to y^{iτ}'s
+    # |ln y| just inside _LINE_REACH, the first bucket's, at large N and at
+    # r = 2, where F's own phase, which turns like ln τ a gamma factor, adds
+    # to y^{iτ}'s
     fk.biorth_system.cache_clear()
     value = fk.kernel_n_contour(params, x, y).value
-    assert set(fk.biorth_system(params)._contours) == {fk._LOW_ORDER}
+    assert set(fk.biorth_system(params)._contours) == {1}
     if params.r == 1:
         ls = np.arange(params.N)
         lx, ly = scipy.special.eval_laguerre(ls, x), scipy.special.eval_laguerre(ls, y)
@@ -446,22 +453,43 @@ def test_kernel_contour_low_order_line_at_its_reach(params, x, y):
     assert abs(value - ref) <= 1e-10 * math.sqrt(diag)
 
 
+@pytest.mark.parametrize("params, x, y, bucket", [
+    (EnsembleParams(N=10, r=2, s=0, nu=(0, 1)), 1e-10, 1e-10, 3),
+    (EnsembleParams(N=20, r=3, s=0, nu=(0, 1, 0)), 5.0, 1e-10, 3),
+    (EnsembleParams(N=10, r=1, s=1, nu=(0,), mu=(0,)), 2e-12, 2e-12, 4),
+    (EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,)), 1.0, 1e-10, 3),
+], ids=["r2s0N10", "r3s0N20", "r1s1N10", "r2s1N10"])
+def test_kernel_contour_far_reach_matches_longdouble_sum(params, x, y, bucket):
+    # the far-reach buckets at r >= 2 and s >= 1, against exact rational P x
+    # longdouble Q: the order-48 line with the first bucket's circle was
+    # 4.6e-10, 9.2e-10, 2.4e-8 and 4.9e-10 of sqrt(K(x,x) K(y,y)) off here,
+    # and raised nothing
+    fk.biorth_system.cache_clear()
+    value = fk.kernel_n_contour(params, x, y).value
+    assert set(fk.biorth_system(params)._contours) == {bucket}
+    pts = np.array([x, y], dtype=np.longdouble)
+    k = (_hiprec._p_matrix(params, pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
+    assert abs(value - k[0, 1]) <= 1e-10 * math.sqrt(abs(k[0, 0] * k[1, 1]))
+
+
 def test_kernel_contour_line_is_graded():
     # panels as wide as the nearest pole allows: narrow next to the real
-    # axis, where the Cauchy poles come within 1/4 of the line, and 2 wide
-    # above.  The uniform order-48 line had 1440 upper nodes here
+    # axis, where the Cauchy poles come within 1/4 of the line, and 2/m wide
+    # above in reach bucket m.  The uniform order-48 line that served every
+    # reach past bucket 1 had 1440 upper nodes here; buckets 1-3 have 528,
+    # 992 and 1456
     p = EnsembleParams(N=20, r=1, s=0, nu=(0,))
-    line = fk.biorth_system(p).contour(float(np.max(np.abs(np.log([1e-3, 20.0]))))).line
-    assert len(line.u) <= 700
-    assert np.all(line.u.imag > 0)  # Gauss-Legendre nodes: none on the axis, the lower half mirrored
-    # each panel's weights sum to twice its width, the lower half's share
-    # doubled, and the panels tile the upper half line from 0
-    t = line.u.imag.reshape(-1, fk._LOW_ORDER)
-    edges = np.concatenate([[0.0], np.cumsum(line.w.reshape(t.shape).sum(axis=1) / 2)])
-    assert np.all((edges[:-1, None] < t) & (t < edges[1:, None]))
-    assert np.all(np.diff(edges) <= 2.0 + 1e-12) and edges[1] < 1.0
-    # beyond the low order's reach the line is the uniform width-2 one, no longer
-    assert len(fk.biorth_system(p).contour(20.0).line.u) == 1440
+    for reach, bucket, most_nodes in ((math.log(1e3), 1, 700), (12.0, 2, 1000), (20.0, 3, 1500)):
+        line = fk.biorth_system(p).contour(reach).line
+        assert len(line.u) < most_nodes
+        assert np.all(line.u.imag > 0)  # Gauss-Legendre nodes: none on the axis, the lower half mirrored
+        # each panel's weights sum to twice its width, the lower half's share
+        # doubled, and the panels tile the upper half line from 0
+        t = line.u.imag.reshape(-1, fk._LINE_ORDER)
+        edges = np.concatenate([[0.0], np.cumsum(line.w.reshape(t.shape).sum(axis=1) / 2)])
+        assert np.all((edges[:-1, None] < t) & (t < edges[1:, None]))
+        assert np.all(np.diff(edges) <= 2.0 / bucket + 1e-12) and edges[1] < 1.0
+    assert set(fk.biorth_system(p)._contours) >= {1, 2, 3}
 
 
 P11_N10 = EnsembleParams(N=10, r=1, s=1, nu=(0,), mu=(0,))
@@ -520,9 +548,10 @@ def test_kernel_contour_grid_raises_at_its_worst_pair(params, x):
     assert np.all(np.isfinite(fk.kernel_n_contour_grid(params, [0.5], [1.0])))
 
 
-def assert_contour_grid_memory(y_min, order, bound_mib):
+def assert_contour_grid_memory(y_min, bucket, bound_mib):
     """A 200 x 200 Laguerre N = 40 grid whose smallest y is y_min: it takes
-    the line of the given order, peaks below bound_mib and is within 1e-8."""
+    the line and circle of the given reach bucket, peaks below bound_mib and
+    is within 1e-8."""
     p = EnsembleParams(N=40, r=1, s=0, nu=(0,))
     xs, ys = np.linspace(0.5, 20.0, 200), np.linspace(0.25, 19.75, 200)
     ys[0] = y_min
@@ -533,7 +562,7 @@ def assert_contour_grid_memory(y_min, order, bound_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert set(fk.biorth_system(p)._contours) == {order}
+    assert set(fk.biorth_system(p)._contours) == {bucket}
     assert peak < bound_mib * 2**20
     lx, ly = (np.array([scipy.special.eval_laguerre(l, v) for l in range(40)]) for v in (xs, ys))
     scale = np.sqrt(np.outer((lx * lx).sum(axis=0) * np.exp(-xs), (ly * ly).sum(axis=0) * np.exp(-ys)))
@@ -542,17 +571,18 @@ def assert_contour_grid_memory(y_min, order, bound_mib):
 
 def test_kernel_contour_grid_memory_bounded():
     # circle sums and y^u are held per distinct point, on the upper half line:
-    # 400 points peak at 15.8 MiB on the graded order-16 line (544 nodes;
-    # 42.8 on the uniform order-48 line with the node-wise mass sums, 66.8
-    # on the whole line); the bound leaves 8 MiB
-    assert_contour_grid_memory(0.25, fk._LOW_ORDER, 24)
+    # 400 points peak at 15.8 MiB on the graded line of reach bucket 1 (544
+    # nodes; 42.8 on the uniform order-48 line with the node-wise mass sums,
+    # 66.8 on the whole line); the bound leaves 8 MiB
+    assert_contour_grid_memory(0.25, 1, 24)
 
 
-def test_kernel_contour_grid_memory_bounded_on_the_order48_line():
-    # one point with |ln y| beyond the order-16 line's reach puts the grid on
-    # the uniform order-48 line (1440 nodes): 400 points peak at 38.4 MiB
-    # there; the bound leaves 6.6 MiB
-    assert_contour_grid_memory(1e-4, fk._HIGH_ORDER, 45)
+def test_kernel_contour_grid_memory_bounded_in_a_far_reach_bucket():
+    # one point with |ln y| beyond the first bucket's reach puts the grid in
+    # bucket 2 (992 line nodes, 960 circle nodes): 400 points peak at 27.5 MiB
+    # there, where the uniform order-48 line that served it before took
+    # 38.4 MiB; the bound leaves 6.5 MiB
+    assert_contour_grid_memory(1e-4, 2, 34)
 
 
 def test_rho_k_matches_laguerre_at_N40():
