@@ -3,11 +3,12 @@
 The delta identity ∫ P_n Q_l = δ_{n,l} cancels polynomial lobe masses that
 reach ~1e7 at N = 6, so verifying it to 1e-8 absolute needs integrand
 values beyond double precision.  This module holds what numpy's extended
-(x86 80-bit) precision needs on top of the double-precision code: a
-Stirling-series complex log-gamma and exact rational P-coefficients.  Q_l
-itself comes from finite_kernel.BiorthSystem, which works in the precision
-of the points it is given: gram_matrix hands it longdouble nodes, and its
-trapezoid lines take their nodes c + ikh in that precision at no cost.
+(x86 80-bit) precision needs on top of the double-precision code: exact
+rational P-coefficients.  The log-gamma is specfun.ln_gamma, which works
+in the precision of its argument, and Q_l comes from
+finite_kernel.BiorthSystem, which works in the precision of the points it
+is given: gram_matrix hands it longdouble nodes, and its trapezoid lines
+take their nodes c + ikh in that precision at no cost.
 """
 
 from __future__ import annotations
@@ -19,30 +20,12 @@ from functools import partial
 import numpy as np
 
 from .freeprob import EnsembleParams
-from .specfun import pi_in, reflected_ln_gamma
+from .specfun import ln_gamma
 
 LD = np.longdouble
 CLD = np.clongdouble
 # settling tolerance of every Gram entry on the ln-x trapezoid grid
 GRAM_TOL = 1e-10
-
-_LOG_2PI_HALF = 0.5 * np.log(2 * pi_in(LD))
-
-# B_{2j} / (2j (2j-1)) for the Stirling series, j = 1..11
-_STIRLING = [
-    Fraction(1, 12),
-    Fraction(-1, 360),
-    Fraction(1, 1260),
-    Fraction(-1, 1680),
-    Fraction(1, 1188),
-    Fraction(-691, 360360),
-    Fraction(1, 156),
-    Fraction(-3617, 122400),
-    Fraction(43867, 244188),
-    Fraction(-174611, 125400),
-    Fraction(854513, 63756),
-]
-_STIRLING_LD = [LD(c.numerator) / LD(c.denominator) for c in _STIRLING]
 
 
 def _frac_to_ld(f: Fraction) -> np.longdouble:
@@ -50,28 +33,11 @@ def _frac_to_ld(f: Fraction) -> np.longdouble:
     return LD(str(f.numerator)) / LD(str(f.denominator))
 
 
-def _lngamma_right(z: np.ndarray) -> np.ndarray:
-    """Stirling-series log-gamma for Re z >= 0.5 (clongdouble)."""
-    z = z.astype(CLD, copy=True)
-    shift = np.zeros(z.shape, dtype=CLD)
-    for _ in range(18):
-        mask = np.abs(z) < 17.0
-        if not mask.any():
-            break
-        shift[mask] -= np.log(z[mask])
-        z[mask] += 1
-    inv = 1.0 / z
-    inv2 = inv * inv
-    ser = np.zeros_like(z)
-    for c in reversed(_STIRLING_LD):
-        ser = (ser + c) * inv2
-    ser = ser / inv  # one net power of 1/z
-    return shift + (z - 0.5) * np.log(z) - z + _LOG_2PI_HALF + ser
-
-
 def lngamma(z) -> np.ndarray:
-    """Principal-branch complex log-gamma in extended precision."""
-    return reflected_ln_gamma(np.asarray(z, dtype=CLD), _lngamma_right)
+    """specfun.ln_gamma in extended precision, whatever the dtype of z.
+
+    No wpl code calls it; wplbench's tracer counts calls by this name."""
+    return ln_gamma(np.asarray(z, dtype=CLD))
 
 
 def _p_coefficients(params: EnsembleParams, n: int) -> list[Fraction]:

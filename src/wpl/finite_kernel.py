@@ -93,34 +93,36 @@ def _exp_float64(what: str, log_abs: float, params: EnsembleParams) -> float:
 def _log_abs_c(params: EnsembleParams, l: int) -> float:
     if not 0 <= l <= params.N - 1:
         raise DomainError(f"l must lie in 0..N-1, got {l}")
-    return _log_gammas(params, -(l + 1), math.lgamma)  # the gamma product at u = -(l+1)
+    # the gamma product of _log_gammas at u = -(l+1)
+    shared = [math.lgamma(nu + l + 1) for nu in params.nu] + [math.lgamma(mu + params.N - l) for mu in params.mu]
+    return math.lgamma(l + 1) + sum(shared)
 
 
-def _log_gammas(params: EnsembleParams, u, lg=ln_gamma):
+def _log_gammas(params: EnsembleParams, u):
     """ln Γ(-u) Π_j Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u), ν_0 = 0: the gamma
-    product of the Q_l lines, in the precision of the log-gamma lg."""
-    return lg(-u) + _log_shared_gammas(params, u, lg)
+    product of the Q_l lines, in the precision of u."""
+    return ln_gamma(-u) + _log_shared_gammas(params, u)
 
 
-def _log_shared_gammas(params: EnsembleParams, u, lg=ln_gamma):
+def _log_shared_gammas(params: EnsembleParams, u):
     """ln Π_{j>=1} Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u): the factors of the
     gamma product that every Q_l row carries whole."""
     out = 0.0
     for nu in params.nu:
-        out = out + lg(nu - u)
+        out = out + ln_gamma(nu - u)
     for mu in params.mu:
-        out = out + lg(1.0 + mu + params.N + u)
+        out = out + ln_gamma(1.0 + mu + params.N + u)
     return out
 
 
-def _q_log_rows(params: EnsembleParams, u: np.ndarray, lg=ln_gamma) -> np.ndarray:
+def _q_log_rows(params: EnsembleParams, u: np.ndarray) -> np.ndarray:
     """ln(|C_l| F_l(u)), rows l = 0..N-1, of the Q_l lines: the gamma product
     with Γ(-u) replaced by Γ(-u)/Γ(-l-u) = (-u-1)(-u-2)...(-u-l), whose logs
     one cumsum gives.  A row may differ from the log-gamma form by a
     multiple of 2πi, which neither e^{row} nor its real part sees."""
     steps = np.log(-u - np.arange(1, params.N)[:, None])
     ratio = np.concatenate([np.zeros((1, len(u)), dtype=steps.dtype), np.cumsum(steps, axis=0)])
-    return _log_shared_gammas(params, u, lg) + ratio
+    return _log_shared_gammas(params, u) + ratio
 
 
 def _p_series(params: EnsembleParams, n: int) -> HypSeriesParams:
@@ -252,16 +254,16 @@ class BiorthSystem:
     (-u-1)...(-u-l), whose logs one cumsum gives (`_q_log_rows`).
 
     The working precision follows the points given to q_matrix: longdouble
-    points are evaluated in extended precision (Stirling log-gamma, and
-    specfun.line_tol: the tolerance scaled by the dtype's epsilon), which
-    the Gram matrix needs; any other points in float64.  A parameter set
-    has one accuracy, so `biorth_system` caches on the parameters alone.
-    Each line is built on first use, once per (regime, dtype), and so are
-    kernel_n_contour's circle and line, once per reach bucket (`contour`):
-    construction computes only ln |C_l| and cannot raise.  q_matrix and
-    p_matrix, the sum route, raise NonConvergent if a C_l is beyond the
-    float64 range (the Q rows carry 1/|C_l|, and P_l's prefactor is a
-    factor of C_l).
+    points are evaluated in extended precision (specfun.ln_gamma follows
+    the dtype of its argument, and specfun.line_tol scales the tolerance by
+    the dtype's epsilon), which the Gram matrix needs; any other points in
+    float64.  A parameter set has one accuracy, so `biorth_system` caches
+    on the parameters alone.  Each line is built on first use, once per
+    (regime, dtype), and so are kernel_n_contour's circle and line, once
+    per reach bucket (`contour`): construction computes only ln |C_l| and
+    cannot raise.  q_matrix and p_matrix, the sum route, raise
+    NonConvergent if a C_l is beyond the float64 range (the Q rows carry
+    1/|C_l|, and P_l's prefactor is a factor of C_l).
     """
 
     def __init__(self, params: EnsembleParams):
@@ -299,18 +301,19 @@ class BiorthSystem:
         turn, weight = _graded_circle(radius, p.r, bucket)
         tcirc = 0.5 * (N - 1) + radius * turn
         # ln G in longdouble beyond bucket 1, rounded once: there the circle's
-        # largest terms x^{-1/4} |G| outgrow K, and the float64 ln Γ's 1e-13
-        # with them (Laguerre x = y = 2e-12: 3.8e-10 off, 1.1e-11 in longdouble
-        # at N = 40).  Bucket 1 keeps the float64 ln Γ, 0.2 ms a circle where
-        # the longdouble one takes 2-3.5 ms, about as long as the rest of a build
-        lg, t = (ln_gamma, tcirc) if bucket == 1 else (_hiprec.lngamma, tcirc.astype(np.clongdouble))
-        log_g = (lg(t - N + 1.0) - _log_gammas(p, -t - 1.0, lg)).astype(complex)
+        # largest terms x^{-1/4} |G| outgrow K, and the float64 ln G's rounding
+        # with them (Laguerre x = y = 2e-12: 1.7e-10 off, 2.8e-11 in longdouble
+        # at N = 40).  Bucket 1 keeps a float64 ln G, 0.4-0.5 ms a circle where
+        # the longdouble one takes 2-3 ms, about as long as the rest of a build
+        t = tcirc if bucket == 1 else tcirc.astype(np.clongdouble)
+        log_g = (ln_gamma(t - N + 1.0) - _log_gammas(p, -t - 1.0)).astype(complex)
 
         def log_f(u):  # Γ(-u)/Γ(-N-u) = (-u-1)...(-u-N), as in _q_log_rows; it overflows only where F does
+            u = u.astype(np.clongdouble)  # whatever the dtype of the nodes
             ratio = np.ones(len(u), dtype=np.clongdouble)
             for k in range(1, N + 1):
                 ratio *= -u - k
-            return _log_shared_gammas(p, u, _hiprec.lngamma) + np.log(ratio)
+            return _log_shared_gammas(p, u) + np.log(ratio)
 
         # the poles in τ = (u + 1/2)/i: u = -1 - t_j and u = min ν
         poles = np.append(1j * (tcirc + 0.5), -1j * (min(p.nu) + 0.5))
@@ -341,13 +344,12 @@ class BiorthSystem:
         if (regime, dtype) in self._lines:
             return self._lines[(regime, dtype)]
         p = self.params
-        lg = _hiprec.lngamma if dtype == np.longdouble else ln_gamma
         ls = np.arange(p.N)
         # |C_l| is the gamma product at u = -(l+1)
-        log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(_log_gammas(p, -(ls + 1).astype(dtype), lg))
+        log_abs_C = self.log_abs_C if dtype == np.float64 else np.real(_log_gammas(p, -(ls + 1).astype(dtype)))
 
         def log_f(u):
-            return _q_log_rows(p, u, lg) - log_abs_C[:, None]
+            return _q_log_rows(p, u) - log_abs_C[:, None]
 
         line = self._lines[(regime, dtype)] = trapezoid_line(log_f, *self._geometry(regime), dtype)
         return line

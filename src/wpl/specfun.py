@@ -1,9 +1,10 @@
 """Scalar special-function kernel.
 
-Complex log-gamma, generalized hypergeometric series, Meijer G-functions by
-numerical Mellin-Barnes integration, and Bessel J.  Everything downstream is
-evaluated pointwise through these routines; all of them accept scalars or
-numpy arrays and are pure/reentrant.
+Complex log-gamma (one shifted Stirling series, in the precision of its
+argument: complex128 or clongdouble), generalized hypergeometric series,
+Meijer G-functions by numerical Mellin-Barnes integration, and Bessel J.
+Everything downstream is evaluated pointwise through these routines; all
+of them accept scalars or numpy arrays and are pure/reentrant.
 
 Convention (normative for the whole package): the Meijer G-function is the
 Mellin-Barnes integral
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -42,7 +44,6 @@ from .errors import (
 # A "ComplexValue" throughout the package is a plain Python complex /
 # numpy complex128; no wrapper type is needed.
 
-_LOG_2PI_HALF = 0.5 * math.log(2.0 * math.pi)
 # float64 accuracy target of a Mellin-Barnes line: its absolute error, its
 # settling tolerance and 1e-3 of its mirror check's allowance (see line_tol)
 _TOL = 1e-12
@@ -51,34 +52,37 @@ _PFQ_MAX_TERMS = 100_000
 # parsed in the working dtype, so longdouble gets all of its digits
 _PI_DIGITS = "3.14159265358979323846264338327950288420"
 
-# Lanczos g=7, n=9 coefficient set; ~1e-15 relative in Gamma on Re z >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _ln_gamma_right(z: np.ndarray) -> np.ndarray:
-    """Lanczos log-gamma, valid (principal branch) for Re z >= 0.5."""
-    w = z - 1.0
-    series = np.full_like(w, _LANCZOS_P[0])
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        series = series + p / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _LOG_2PI_HALF + (w + 0.5) * np.log(t) - t + np.log(series)
-
 
 def pi_in(dtype):
     """π to the full precision of a numpy float dtype."""
     return np.dtype(dtype).type(_PI_DIGITS)
+
+
+# B_{2j} / (2j (2j - 1)), j = 1..11: Stirling's series for ln Γ(z) is
+# (z - 1/2) ln z - z + ln sqrt(2π) + Σ_j these / z^{2j - 1}
+_STIRLING = (
+    Fraction(1, 12),
+    Fraction(-1, 360),
+    Fraction(1, 1260),
+    Fraction(-1, 1680),
+    Fraction(1, 1188),
+    Fraction(-691, 360360),
+    Fraction(1, 156),
+    Fraction(-3617, 122400),
+    Fraction(43867, 244188),
+    Fraction(-174611, 125400),
+    Fraction(854513, 63756),
+)
+# per working precision: the cut |z| >= cut at which the series is summed,
+# its terms, rounded once from _STIRLING, and ln sqrt(2π).  The first term
+# dropped is below 1e-17 (float64) and 1e-26 (longdouble) at the cut;
+# against 40-digit mpmath, ln_gamma is within 2 and 5 eps max(8, |ln Γ|)
+# on the lines Re z = 1/2, 3/2, 7/2, -1/2, -21/2, -199/2 to |Im z| = 120
+_STIRLING_RULE = {
+    np.dtype(t): (t(cut), tuple(t(c.numerator) / t(c.denominator) for c in _STIRLING[:terms]),
+                  np.log(2 * pi_in(t)) / 2)
+    for t, cut, terms in ((np.float64, 8, 10), (np.longdouble, 17, 11))
+}
 
 
 def _log_sin_pi(z: np.ndarray, pi) -> np.ndarray:
@@ -93,40 +97,56 @@ def _log_sin_pi(z: np.ndarray, pi) -> np.ndarray:
     return np.where(y >= 0, out, np.conj(out))
 
 
-def reflected_ln_gamma(z: np.ndarray, ln_gamma_right) -> np.ndarray:
-    """Principal-branch log-gamma from `ln_gamma_right`, valid on Re z >= 0.5.
-
-    Elsewhere the reflection Γ(z) Γ(1 - z) = π / sin(πz) applies, with Hare's
-    winding correction keeping it on the principal branch.  Works in the
-    precision of z (complex128 or clongdouble).
-    """
-    out = np.empty_like(z)
-    right = np.real(z) >= 0.5
-    if np.any(right):
-        out[right] = ln_gamma_right(z[right])
-    if np.any(~right):
-        zr = z[~right]
-        pi = pi_in(np.real(zr).dtype)
-        winding = 2 * pi * np.sign(zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        out[~right] = (np.log(pi) + 1j * winding) - _log_sin_pi(zr, pi) - ln_gamma_right(1.0 - zr)
-    return out
+def _ln_gamma_right(z: np.ndarray) -> np.ndarray:
+    """ln Γ on Re z >= 0.5, in the precision of z: Stirling's series at z + n,
+    the first even n that takes |z + n| to the dtype's cut, less
+    ln z(z + 1)...(z + n - 1).  That product is taken as logs of pairs
+    (z + k)(z + k + 1), each principal: both factors have |arg| < π/2 and
+    args of one sign."""
+    cut, coeffs, log_root_2pi = _STIRLING_RULE[np.real(z).dtype]
+    z = np.array(z)
+    shift = np.zeros_like(z)
+    near = np.abs(z) < cut
+    if np.any(near):
+        zk = z[near] + np.arange(0, cut - 0.5, 2)[:, None]  # the pairs' first factors
+        live = np.abs(zk) < cut  # a prefix of each column, as |z + k| grows with k
+        shift[near] = -np.sum(np.log(np.where(live, zk * (zk + 1), 1)), axis=0)
+        z[near] += 2 * np.sum(live, axis=0)
+    inv = 1 / z
+    inv2 = inv * inv
+    ser = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        ser = ser * inv2 + c
+    return shift + (z - 0.5) * np.log(z) - z + log_root_2pi + ser * inv
 
 
 def ln_gamma(z):
-    """Principal-branch complex log-gamma.
+    """Principal-branch complex log-gamma, in the precision of z.
 
-    Lanczos approximation on Re z >= 0.5; reflection formula with the
-    principal-branch winding correction elsewhere.  Raises PoleError at
-    nonpositive integers.
+    clongdouble (or longdouble) z gives clongdouble values, anything else,
+    Python numbers included, complex128; a scalar gives a scalar.  The
+    shifted Stirling series (`_ln_gamma_right`) on Re z >= 0.5; elsewhere the
+    reflection Γ(z) Γ(1 - z) = π / sin(πz), with Hare's winding correction
+    keeping it on the principal branch.  Raises PoleError at nonpositive
+    integers.
     """
-    z_arr = np.asarray(z, dtype=complex)
+    z_arr = np.asarray(z)
+    z_arr = z_arr.astype(np.result_type(z_arr.dtype, np.complex128))
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
 
     on_pole = (z_arr.imag == 0.0) & (z_arr.real <= 0.0) & (z_arr.real == np.floor(z_arr.real))
     if np.any(on_pole):
         raise PoleError(f"log-gamma pole at nonpositive integer {z_arr[on_pole][0]}")
-    out = reflected_ln_gamma(z_arr, _ln_gamma_right)
+    out = np.empty_like(z_arr)
+    right = z_arr.real >= 0.5
+    if np.any(right):
+        out[right] = _ln_gamma_right(z_arr[right])
+    if np.any(~right):
+        zr = z_arr[~right]
+        pi = pi_in(zr.real.dtype)
+        winding = 2 * pi * np.sign(zr.imag) * np.floor(0.5 * zr.real + 0.25)
+        out[~right] = (np.log(pi) + 1j * winding) - _log_sin_pi(zr, pi) - _ln_gamma_right(1.0 - zr)
     return out[0] if scalar else out
 
 
@@ -670,11 +690,13 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
 
     height = contour.half_height
     target = math.log(_TOL) + math.log(1e-2)
+    tail = tail_log_mag(height)
     grow = 0
-    while tail_log_mag(height) > target and grow < 60:
+    while tail > target and grow < 60:
         height *= 1.35
         grow += 1
-    if tail_log_mag(height) > target:
+        tail = tail_log_mag(height)
+    if tail > target:
         raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
 
     # Per-panel order: resolve the nearest pole (Bernstein-ellipse rate

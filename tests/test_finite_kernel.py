@@ -162,12 +162,12 @@ def test_q_rows_product_matches_log_gamma_rows(N, dtype):
     # ln Γ(-u)/Γ(-l-u) as a sum of ln(-u-k): the same real parts, and the
     # same imaginary parts mod 2π, on the mid and deep lines
     params = EnsembleParams(N=N, r=2, s=1, nu=(0, 1), mu=(0,))
-    lg = _hiprec.lngamma if dtype == np.longdouble else fk.ln_gamma
+    lg = fk.ln_gamma
     ls = np.arange(N)[:, None]
     for c in (-0.5, -(N + 0.5)):
         u = c + 1j * np.arange(-60.0, 60.25, 0.25).astype(dtype)
-        rows = fk._q_log_rows(params, u, lg)
-        ref = fk._log_gammas(params, u, lg) - lg(-ls - u)
+        rows = fk._q_log_rows(params, u)
+        ref = fk._log_gammas(params, u) - lg(-ls - u)
         tol = 1e3 * np.finfo(dtype).eps * (1.0 + np.abs(lg(-u)) + np.abs(lg(-ls - u)))
         assert np.all(np.abs(rows.real - ref.real) <= tol)
         two_pi = 2 * pi_in(dtype)
@@ -311,6 +311,27 @@ def test_kernel_contour_matches_laguerre_at_N100():
     assert abs(value - ref) <= 1e-12 * ref
     with pytest.raises(NonConvergent, match="C_99 = e\\^718 overflows float64"):
         fk.kernel_n(p, 5.0, 5.0)
+
+
+def test_contour_line_log_f_is_longdouble(monkeypatch):
+    # the outer line's few nodes each carry much of the sum, so its
+    # coefficients come from a longdouble ln F whatever the dtype of the
+    # nodes: its ln F is the longdouble log-gamma form to 16 eps_ld x the
+    # size of its log-gammas, where a float64 ln Γ in it is 500-2000 off
+    built = []
+    gl_line = fk.gl_line
+    monkeypatch.setattr(fk, "gl_line", lambda log_f, *args: built.append(log_f) or gl_line(log_f, *args))
+    u = -0.5 + 1j * np.linspace(0.0, 60.0, 121)
+    ul = u.astype(np.clongdouble)
+    two_pi = 2 * pi_in(np.longdouble)
+    for p in (EnsembleParams(N=100, r=1, s=0, nu=(0,)), EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,))):
+        fk.BiorthSystem(p).contour(1.0)
+        log_f = built.pop()(u)
+        assert log_f.dtype == np.clongdouble
+        diff = log_f - (fk._log_gammas(p, ul) - fk.ln_gamma(-p.N - ul))
+        turn = np.remainder(diff.imag + two_pi / 2, two_pi) - two_pi / 2
+        size = 8 + np.abs(fk.ln_gamma(-ul)) + np.abs(fk.ln_gamma(-p.N - ul))
+        assert np.all(np.hypot(diff.real, turn) <= 16 * np.finfo(np.longdouble).eps * size)
 
 
 @pytest.mark.parametrize("N, x", [(60, 18.0), (80, 10.0)])

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -95,18 +96,54 @@ def test_ln_gamma_large_modulus():
 def test_ln_gamma_conjugate_symmetry(dtype):
     # ln Γ(conj z) = conj ln Γ(z) mod 2πi, which every half line rests on;
     # the grid crosses the reflection region Re z < 1/2 up to |Im z| = 1e3
-    from wpl import _hiprec
-
-    lg = sf.ln_gamma if dtype == np.float64 else _hiprec.lngamma
     re = np.linspace(-60.3, 60.3, 41)
     im = np.array([1e-3, 0.5, 3.0, 30.0, 300.0, 1e3])
     z = (re[:, None] + 1j * im).ravel().astype(np.result_type(dtype, 1j))
-    upper, lower = lg(z), lg(np.conj(z))
+    upper, lower = sf.ln_gamma(z), sf.ln_gamma(np.conj(z))
     diff = lower - np.conj(upper)
     two_pi = 2 * sf.pi_in(dtype)
     turn = np.remainder(diff.imag + two_pi / 2, two_pi) - two_pi / 2
     allowed = 4 * np.finfo(dtype).eps * np.maximum(1.0, np.abs(upper))
     assert np.all(np.abs(diff.real) <= allowed) and np.all(np.abs(turn) <= allowed)
+
+
+@lru_cache(maxsize=None)
+def mpmath_ln_gamma_grid():
+    """ln Γ at c + iτ, τ = 0.25, 0.75, ..., 119.75, by 40-digit mpmath: the
+    abscissas c, the τ and the real and imaginary parts as strings."""
+    mpmath = pytest.importorskip("mpmath")
+    cs, taus = (0.5, -0.5, 1.5, 3.5, -10.5, -99.5), 0.25 + 0.5 * np.arange(240)
+    with mpmath.workdps(40):
+        vals = [mpmath.loggamma(mpmath.mpc(c, t)) for c in cs for t in taus]
+        return cs, taus, [mpmath.nstr(v.real, 30) for v in vals], [mpmath.nstr(v.imag, 30) for v in vals]
+
+
+@pytest.mark.parametrize("dtype, gate", [(np.float64, 4), (np.longdouble, 16)])
+def test_ln_gamma_matches_mpmath(dtype, gate):
+    # the shift, the cut and the reflection up to |Im z| = 120, within gate
+    # eps max(8, |ln Γ|), the imaginary part mod 2π
+    cs, taus, re, im = mpmath_ln_gamma_grid()
+    z = (np.array(cs, dtype=dtype)[:, None] + 1j * taus.astype(dtype)).ravel()
+    got = sf.ln_gamma(z)
+    re, im = np.array([dtype(v) for v in re]), np.array([dtype(v) for v in im])
+    two_pi = 2 * sf.pi_in(dtype)
+    turn = np.remainder(got.imag - im + two_pi / 2, two_pi) - two_pi / 2
+    err = np.hypot(got.real - re, turn) / (np.finfo(dtype).eps * np.maximum(8, np.hypot(re, im)))
+    assert got.dtype == np.result_type(dtype, 1j) and np.max(err) <= gate, z[np.argmax(err)]
+
+
+def test_ln_gamma_follows_the_dtype_of_its_argument():
+    z = np.array([0.5 + 3j, -2.5 + 1j, 20.0])
+    assert sf.ln_gamma(z.astype(np.clongdouble)).dtype == np.clongdouble
+    assert sf.ln_gamma(z.real.astype(np.longdouble)).dtype == np.clongdouble
+    assert sf.ln_gamma(z).dtype == np.complex128
+    for scalar in (3, 2.5, 1.5 + 2j, np.clongdouble(1.5 + 2j)):
+        out = sf.ln_gamma(scalar)
+        assert np.ndim(out) == 0 and out.dtype == np.result_type(scalar, 1j)
+    for dtype in (np.float64, np.longdouble):
+        for pole in (0, -3):
+            with pytest.raises(PoleError):
+                sf.ln_gamma(dtype(pole))
 
 
 def test_ln_gamma_pole():
@@ -235,18 +272,15 @@ def test_meijer_trapezoid_rule_agrees():
         assert tz == pytest.approx(sf.meijer_g(spec, gl, x), rel=1e-9)
 
 
-def _exp_log_f(dtype=np.float64, phase=0.0, above=0.0):
-    """ln Γ(-s), of G^{1,0}_{0,1}(x | 0) = e^{-x}, in the dtype's log-gamma;
+def _exp_log_f(phase=0.0, above=0.0):
+    """ln Γ(-s), of G^{1,0}_{0,1}(x | 0) = e^{-x}, in the precision of s;
     a phase where |Im s| > above breaks F(conj s) = conj F(s) there."""
-    from wpl import _hiprec
-
-    lg = sf.ln_gamma if dtype == np.float64 else _hiprec.lngamma
-    return lambda s: lg(-s) + 1j * phase * (np.abs(np.imag(s)) > above)
+    return lambda s: sf.ln_gamma(-s) + 1j * phase * (np.abs(np.imag(s)) > above)
 
 
 def _exp_line(phase=0.0, above=0.0):
     """e^{-x} as a Gauss-Legendre MellinLine on Re s = -1/2."""
-    return sf.gl_line(_exp_log_f(np.float64, phase, above), -0.5, np.arange(0.0, 31.0, 2.0), 32)
+    return sf.gl_line(_exp_log_f(phase, above), -0.5, np.arange(0.0, 31.0, 2.0), 32)
 
 
 def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
@@ -256,13 +290,13 @@ def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
     if dtype == np.float64:
         return _exp_line(phase, above)
     u = _exp_line().u[::32].astype(np.clongdouble)
-    log_f = _exp_log_f(dtype, phase, above)
+    log_f = _exp_log_f(phase, above)
     return sf.check_mirror(log_f, u, log_f(u), sf.line_tol(dtype))
 
 
 def _exp_trapezoid_line(dtype=np.float64, phase=0.0, above=0.0):
     """e^{-x} as a trapezoid MellinLine on Re s = -1/2."""
-    return sf.trapezoid_line(_exp_log_f(dtype, phase, above), -0.5, (0.5, 1.0, 2.0), dtype)
+    return sf.trapezoid_line(_exp_log_f(phase, above), -0.5, (0.5, 1.0, 2.0), dtype)
 
 
 def test_mellin_line_guard():
@@ -569,18 +603,17 @@ def test_trapezoid_line_settles_as_with_folded_probe_sums(dtype):
     from wpl import finite_kernel as fk
     from wpl.freeprob import EnsembleParams
 
-    lg = sf.ln_gamma if dtype == np.float64 else fk._hiprec.lngamma
     for params, regime in ((EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)), "mid"),
                            (EnsembleParams(N=6, r=2, s=1, nu=(0, 1), mu=(0,)), "deep"),
                            (EnsembleParams(N=10, r=2, s=0, nu=(0, 1)), 4.0),
                            (EnsembleParams(N=10, r=2, s=0, nu=(0, 1)), 10.0)):
         system = fk.BiorthSystem(params)
-        log_c = np.real(fk._log_gammas(params, -np.arange(1, params.N + 1).astype(dtype), lg))
+        log_c = np.real(fk._log_gammas(params, -np.arange(1, params.N + 1).astype(dtype)))
         c, probes = system._geometry(regime)
         log_x = np.log(np.asarray(probes, dtype=dtype))
 
         def log_f(u):
-            return fk._q_log_rows(params, u, lg) - log_c[:, None]
+            return fk._q_log_rows(params, u) - log_c[:, None]
 
         def folded(u, lf):
             return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / (2 * sf.pi_in(dtype))
