@@ -23,8 +23,9 @@ from . import _hiprec
 from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
-    ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss, end_decay_height, gl_line,
-    kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line,
+    _LINE_REACH, ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss,
+    end_decay_height, gl_line, graded_edges, kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq,
+    trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -50,12 +51,6 @@ _CIRCLE_DECAY = 36.0
 _CIRCLE_SPREAD = 32.0
 _CIRCLE_GROWTH = 5.0
 _CIRCLE_REACH = 24.0
-# kernel_n_contour's line order: on a width-2 panel, n Gauss-Legendre nodes
-# integrate the y^{iτ} oscillation e^{iωτ} to the line tolerance for ω up to
-# about n / 1.9, so panels of width 2/m serve points with |ln p| <= m
-# _LINE_REACH, the reach bucket m of BiorthSystem.contour
-_LINE_ORDER = 16
-_LINE_REACH = _LINE_ORDER / 1.9
 # settling tolerance of the float64 ln-x trapezoid grid, on the trace
 # ∫ K_N(x, x) dx = N.  The float64 Gram entries do not settle: at x = 8,
 # where q_matrix leaves the -1/2 line, that line has lost up to 2.3e-9 of
@@ -170,30 +165,6 @@ class ContourData(NamedTuple):
     mass: np.ndarray | None
 
 
-def _graded_edges(height: float, poles: np.ndarray, bucket: int) -> np.ndarray:
-    """Panel edges 0 = e_0 < e_1 < ... = height along a line, each panel
-    as wide as its nearest singularity allows, and at most 2 / bucket, the
-    width at which order _LINE_ORDER resolves points with |ln p| <= bucket
-    _LINE_REACH.
-
-    poles holds the integrand's singular points in the line's own
-    coordinate τ (u = c + iτ).  Gauss-Legendre of order n = _LINE_ORDER on a
-    panel converges like ρ^{-2n}, ρ the largest Bernstein ellipse
-    around the panel that holds no pole; ρ is set so that this meets the
-    line tolerance.  A panel [a, a + 2h] keeps the pole z outside that
-    ellipse, |z - a| + |z - a - 2h| >= h (ρ + 1/ρ), exactly when
-    h <= (2A|z - a| - 4 Re(z - a)) / (A² - 4), A = ρ + 1/ρ.
-    """
-    rho = line_tol(np.float64) ** (-0.5 / _LINE_ORDER)
-    a = rho + 1.0 / rho
-    edges = [0.0]
-    while edges[-1] < height:
-        d = poles - edges[-1]
-        half = min(1.0 / bucket, float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real)) / (a * a - 4.0))
-        edges.append(min(edges[-1] + 2.0 * half, height))
-    return np.array(edges)
-
-
 def _graded_circle(radius: float, r: int, bucket: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes e^{iθ_j} of the unit circle and the factors of dt/(2πi) at
     t_j = center + radius e^{iθ_j}: the trapezoid rule in φ, φ_j = 2πj/m,
@@ -284,8 +255,8 @@ class BiorthSystem:
         line.  The circle's nodes are graded (`_graded_circle`): densest at
         t = -1/4 and N - 3/4, where it passes the poles t = 0 and N - 1 and
         the line's Cauchy poles, 1/4 away, and refined as m grows.  The
-        line has _LINE_ORDER Gauss-Legendre panels graded too
-        (`_graded_edges`), by the Cauchy poles u = -1 - t_j and F's nearest
+        line's Gauss-Legendre panels are graded too (specfun.graded_edges,
+        to line_tol), by the Cauchy poles u = -1 - t_j and F's nearest
         pole, u = min ν: narrow next to the real axis, where both come
         within 1/4 and 1/2 of the line, and 2/m wide above.  Its few nodes
         each carry much of the sum, so its coefficients are formed from a
@@ -317,8 +288,8 @@ class BiorthSystem:
 
         # the poles in τ = (u + 1/2)/i: u = -1 - t_j and u = min ν
         poles = np.append(1j * (tcirc + 0.5), -1j * (min(p.nu) + 0.5))
-        edges = _graded_edges(end_decay_height(log_f, _Q_ABSCISSA), poles, bucket)
-        line = gl_line(log_f, _Q_ABSCISSA, edges, _LINE_ORDER)
+        edges = graded_edges(end_decay_height(log_f, _Q_ABSCISSA), poles, line_tol(np.float64), bucket)
+        line = gl_line(log_f, _Q_ABSCISSA, edges)
         mass = None
         if line.coeff is not None:
             # Σ_i |coeff_i| / |-u_i - 1 - t_j| in blocks of circle nodes, as the circle sums

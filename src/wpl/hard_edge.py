@@ -118,6 +118,10 @@ def _gr0_values(params: HardEdgeParams, w, power: int = 0) -> np.ndarray:
     return _gr0_deltas(params, w, (power,))[0]
 
 
+# the Gauss-Legendre rule of _u_grid's panels
+_U_RULE = np.polynomial.legendre.leggauss(12)
+
+
 def _u_grid(x_max: float):
     """Nodes/weights for ∫_0^1 du with u = e^{-t}: resolves the log endpoint
     and the oscillation of the r = 1 Bessel factors at points up to x_max."""
@@ -125,7 +129,7 @@ def _u_grid(x_max: float):
     phase = 3.0 * math.sqrt(x_max) + 8.0  # oscillation budget
     n_panels = max(24, int(t_max * 1.2), int(2.0 * phase))
     edges = np.linspace(0.0, t_max, n_panels + 1)
-    t, wt = gl_panels(np.polynomial.legendre.leggauss(12), edges)
+    t, wt = gl_panels(_U_RULE, edges)
     u = np.exp(-t)
     return u, wt * u  # du = e^{-t} dt
 

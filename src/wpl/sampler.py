@@ -313,8 +313,9 @@ def sup_distance(ecdf: EmpiricalCdf, analytic_cdf) -> float:
     return float(np.max(np.maximum(np.abs(steps_hi - f), np.abs(f - steps_lo))))
 
 
-# CdfFromDensity's uniform panels over [lo, hi] and their Gauss-Legendre order
+# CdfFromDensity's uniform panels over [lo, hi] and their Gauss-Legendre order and rule
 _CDF_PANELS, _CDF_ORDER = 512, 12
+_CDF_RULE = np.polynomial.legendre.leggauss(_CDF_ORDER)
 
 
 class CdfFromDensity:
@@ -329,7 +330,7 @@ class CdfFromDensity:
         # linear interpolation across it was off by 0.07
         grade = self.lo + (edges[1] - self.lo) * np.geomspace(1e-12, 1.0, 40)
         edges = np.concatenate([[self.lo], grade, edges[2:]])
-        nodes, weights = gl_panels(np.polynomial.legendre.leggauss(_CDF_ORDER), edges)
+        nodes, weights = gl_panels(_CDF_RULE, edges)
         vals = np.asarray(density(nodes), dtype=float)
         panel = (vals * weights).reshape(-1, _CDF_ORDER).sum(axis=1)
         self.edges = edges

@@ -47,6 +47,13 @@ from .errors import (
 # float64 accuracy target of a Mellin-Barnes line: its absolute error, its
 # settling tolerance and 1e-3 of its mirror check's allowance (see line_tol)
 _TOL = 1e-12
+# the one Gauss-Legendre rule of the Mellin lines (gl_line): on a width-2
+# panel its n = _LINE_ORDER nodes integrate the x^{iτ} oscillation e^{iωτ}
+# to the line tolerance for ω up to about n / 1.9, so panels of width 2/m
+# serve points with |ln x| <= m _LINE_REACH, reach bucket m (graded_edges)
+_LINE_ORDER = 16
+_LINE_REACH = _LINE_ORDER / 1.9
+_GL_RULE = np.polynomial.legendre.leggauss(_LINE_ORDER)
 _PFQ_TOL = 1e-15
 _PFQ_MAX_TERMS = 100_000
 # parsed in the working dtype, so longdouble gets all of its digits
@@ -76,7 +83,7 @@ _STIRLING = (
 # per working precision: the cut |z| >= cut at which the series is summed,
 # its terms, rounded once from _STIRLING, and ln sqrt(2π).  The first term
 # dropped is below 1e-17 (float64) and 1e-26 (longdouble) at the cut;
-# against 40-digit mpmath, ln_gamma is within 2 and 5 eps max(8, |ln Γ|)
+# against 40-digit mpmath, ln_gamma is within 3.1 and 7.5 eps max(8, |ln Γ|)
 # on the lines Re z = 1/2, 3/2, 7/2, -1/2, -21/2, -199/2 to |Im z| = 120
 _STIRLING_RULE = {
     np.dtype(t): (t(cut), tuple(t(c.numerator) / t(c.denominator) for c in _STIRLING[:terms]),
@@ -86,32 +93,40 @@ _STIRLING_RULE = {
 
 
 def _log_sin_pi(z: np.ndarray, pi) -> np.ndarray:
-    """Principal Log(sin(pi z)), overflow-safe for large |Im z|."""
+    """log(sin(pi z)), overflow-safe for large |Im z|, continued along each
+    horizontal line from Re z = 1/2 (where it is principal), and from
+    above on the real axis.  sin(πz) = (i/2) e^{-iπz} (1 - e^{2iπz})
+    for Im z >= 0, where |e^{2iπz}| <= 1 keeps the last factor's arg in
+    (-π/2, π/2)."""
     y = np.imag(z)
     zz = np.where(y >= 0, z, np.conj(z))
     w = np.exp(2j * pi * zz)  # |w| <= 1
     re = pi * np.abs(y) - np.log(type(pi)(2)) + np.log(np.abs(1.0 - w))
     im = pi / 2 - pi * np.real(zz) + np.angle(1.0 - w)
-    im = np.mod(im + pi, 2 * pi) - pi
     out = re + 1j * im
     return np.where(y >= 0, out, np.conj(out))
 
 
 def _ln_gamma_right(z: np.ndarray) -> np.ndarray:
     """ln Γ on Re z >= 0.5, in the precision of z: Stirling's series at z + n,
-    the first even n that takes |z + n| to the dtype's cut, less
-    ln z(z + 1)...(z + n - 1).  That product is taken as logs of pairs
-    (z + k)(z + k + 1), each principal: both factors have |arg| < π/2 and
-    args of one sign."""
+    the first multiple n of 4 that takes |z + n| to the dtype's cut, less
+    ln z(z + 1)...(z + n - 1).  That product is taken as one log a quad
+    (z + k)...(z + k + 3): its four factors have |arg| < π/2, all of the
+    sign of Im z, so their args sum to within 2π of 0, and the principal
+    log of the quad is one turn off exactly where its sign is not theirs."""
     cut, coeffs, log_root_2pi = _STIRLING_RULE[np.real(z).dtype]
     z = np.array(z)
     shift = np.zeros_like(z)
     near = np.abs(z) < cut
     if np.any(near):
-        zk = z[near] + np.arange(0, cut - 0.5, 2)[:, None]  # the pairs' first factors
+        zk = z[near] + np.arange(0, cut - 0.5, 4)[:, None]  # the quads' first factors
         live = np.abs(zk) < cut  # a prefix of each column, as |z + k| grows with k
-        shift[near] = -np.sum(np.log(np.where(live, zk * (zk + 1), 1)), axis=0)
-        z[near] += 2 * np.sum(live, axis=0)
+        p = zk * (zk + 3)  # the quad (z + k)(z + k + 1)(z + k + 2)(z + k + 3) is p (p + 2)
+        log_quad = np.log(np.where(live, p * (p + 2), 1))
+        y = np.sign(np.imag(z[near]))
+        log_quad.imag += (2 * pi_in(y.dtype) * y) * (log_quad.imag * y < 0)
+        shift[near] = -np.sum(log_quad, axis=0)
+        z[near] += 4 * np.sum(live, axis=0)
     inv = 1 / z
     inv2 = inv * inv
     ser = coeffs[-1]
@@ -126,9 +141,9 @@ def ln_gamma(z):
     clongdouble (or longdouble) z gives clongdouble values, anything else,
     Python numbers included, complex128; a scalar gives a scalar.  The
     shifted Stirling series (`_ln_gamma_right`) on Re z >= 0.5; elsewhere the
-    reflection Γ(z) Γ(1 - z) = π / sin(πz), with Hare's winding correction
-    keeping it on the principal branch.  Raises PoleError at nonpositive
-    integers.
+    reflection Γ(z) Γ(1 - z) = π / sin(πz), whose log sin(πz), continued
+    along the horizontal line through z (`_log_sin_pi`), keeps it on the
+    principal branch.  Raises PoleError at nonpositive integers.
     """
     z_arr = np.asarray(z)
     z_arr = z_arr.astype(np.result_type(z_arr.dtype, np.complex128))
@@ -145,8 +160,7 @@ def ln_gamma(z):
     if np.any(~right):
         zr = z_arr[~right]
         pi = pi_in(zr.real.dtype)
-        winding = 2 * pi * np.sign(zr.imag) * np.floor(0.5 * zr.real + 0.25)
-        out[~right] = (np.log(pi) + 1j * winding) - _log_sin_pi(zr, pi) - _ln_gamma_right(1.0 - zr)
+        out[~right] = np.log(pi) - _log_sin_pi(zr, pi) - _ln_gamma_right(1.0 - zr)
     return out[0] if scalar else out
 
 
@@ -298,8 +312,8 @@ class MeijerSpec:
 class ContourSpec:
     """Vertical Mellin-Barnes contour Re s = abscissa, |Im s| <= half_height.
 
-    half_height is where meijer_line starts; the quadrature order and the
-    final height follow from the absolute error target _TOL.
+    half_height is where meijer_line starts; the final height and the
+    panels (graded_edges) follow from the absolute error target _TOL.
     """
 
     abscissa: float
@@ -646,21 +660,49 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     return MellinLine(u, w, lf)
 
 
-def width2_edges(height: float) -> np.ndarray:
-    """Edges of width-2 panels over [0, height], the last one shorter."""
-    return np.append(np.arange(0.0, height - 1e-12, 2.0), height)
+def graded_edges(height: float, poles, tol: float, bucket: int) -> np.ndarray:
+    """Panel edges 0 = e_0 < e_1 < ... = height along a gl_line, each panel
+    as wide as its nearest singularity allows, and at most 2 / bucket, the
+    width at which _GL_RULE resolves points with |ln x| <= bucket
+    _LINE_REACH to line_tol.
+
+    poles holds the integrand's singular points in the line's own
+    coordinate τ (u = c + iτ).  Gauss-Legendre of order n = _LINE_ORDER on a
+    panel converges like ρ^{-2n}, ρ the largest Bernstein ellipse
+    around the panel that holds no pole; ρ = tol^{-1/2n} meets the target
+    tol.  A panel [a, a + 2h] keeps the pole z outside that ellipse,
+    |z - a| + |z - a - 2h| >= h (ρ + 1/ρ), exactly when
+    h <= (2A|z - a| - 4 Re(z - a)) / (A² - 4), A = ρ + 1/ρ.  A few poles
+    are taken as Python numbers, as numpy's cost a call would outweigh them.
+    """
+    rho = tol ** (-0.5 / _LINE_ORDER)
+    a = rho + 1.0 / rho
+    if len(poles) > 4:
+        poles = np.asarray(poles)
+
+        def widest(e):  # 2A|z - e| - 4 Re(z - e), least over the poles
+            d = poles - e
+            return float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real))
+    else:
+        def widest(e):
+            return min(2.0 * a * abs(z - e) - 4.0 * (z - e).real for z in poles)
+    edges = [0.0]
+    while edges[-1] < height:
+        half = min(1.0 / bucket, widest(edges[-1]) / (a * a - 4.0))
+        edges.append(min(edges[-1] + 2.0 * half, height))
+    return np.array(edges)
 
 
-def gl_line(log_f, c: float, edges: np.ndarray, order: int) -> MellinLine:
+def gl_line(log_f, c: float, edges: np.ndarray) -> MellinLine:
     """The float64 MellinLine on Re u = c, |Im u| <= edges[-1], of the rows
-    log_f(u), from Gauss-Legendre panels of the given order between the
-    edges 0 = edges[0] < edges[1] < ... in Im u on the upper half, weights
-    doubled for the lower; one node a panel is check_mirror's.  A log_f in
-    longdouble gives coefficients w F(u) / 2π formed there and rounded once."""
-    t, w = gl_panels(np.polynomial.legendre.leggauss(order), edges)
+    log_f(u), from _GL_RULE panels between the edges 0 = edges[0] <
+    edges[1] < ... in Im u on the upper half, weights doubled for the
+    lower; one node a panel is check_mirror's.  A log_f in longdouble gives
+    coefficients w F(u) / 2π formed there and rounded once."""
+    t, w = gl_panels(_GL_RULE, edges)
     u = c + 1j * t
     lf = np.atleast_2d(log_f(u))
-    check_mirror(log_f, u[::order], lf[:, ::order], _TOL)
+    check_mirror(log_f, u[::_LINE_ORDER], lf[:, ::_LINE_ORDER], _TOL)
     line = MellinLine(u, 2 * w, lf.astype(complex))
     if lf.dtype != line.log_f.dtype and line.coeff is not None:
         line.coeff = (np.exp(lf) * line.w / (2 * pi_in(np.longdouble))).astype(complex)
@@ -670,9 +712,15 @@ def gl_line(log_f, c: float, edges: np.ndarray, order: int) -> MellinLine:
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
     """The Mellin-Barnes line of `spec` along `contour`, for points |ln x| <= lx_max.
 
-    The half-height grows until the integrand's tail is below _TOL/100; the
-    per-panel order resolves the nearest pole and the x^{it} oscillation.
-    The integrand picks up a factor s^power.
+    The half-height grows until the integrand's tail is below _TOL/100.
+    The panels (graded_edges) are at most 2/m wide, m = max(1, ceil(2
+    lx_max / _LINE_REACH)), half the double contour's reach a bucket, and
+    narrow next to the real axis for the nearest right and left poles, d
+    from the line.  A pole of order k, the most b_j (j < m) at
+    right_pole_min or a_j (j < n) at left_pole_max + 1, takes the target
+    _TOL 100^{-(k+1)} e^{-d lx_max}: its residue carries x^{pole} = x^c
+    e^{±d ln x} (but no tighter than eps _TOL 100^{-(k+1)}).  The
+    integrand picks up a factor s^power.
     """
     _validate_contour(spec, contour)
     c = contour.abscissa
@@ -699,20 +747,27 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
     if tail > target:
         raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
 
-    # Per-panel order: resolve the nearest pole (Bernstein-ellipse rate
-    # for a width-2 panel) and the x^{it} oscillation along the line.
-    d_right = spec.right_pole_min - c
-    d_left = c - spec.left_pole_max
-    d_min = min(d_right, d_left)
-    rho = d_min + math.sqrt(d_min * d_min + 1.0)
-    pole_order = int(math.ceil(-math.log(_TOL * 1e-2) / (2.0 * math.log(rho)))) + 2
-    osc_order = int(3.0 * lx_max) + 8
-    order = max(16, pole_order, osc_order)
+    # the nearest poles in τ (u = c + iτ), both d from the line on an auto
+    # contour, and the highest order k among them.  Against 30-digit mpmath,
+    # 2/m-wide panels with m = ceil(lx_max / _LINE_REACH) left |ln x| from 6
+    # to 8.4 up to 2e-10 off, and the target _TOL 100^{-k} left the hard-edge
+    # K(13, 13) at ν = (1, 0) 2.8e-14 of itself off, where this rule leaves 1.3e-15
+    poles, k = [], 1
+    if spec.m:  # Γ(b_j - u), j < m
+        poles.append(-1j * (spec.right_pole_min - c))
+        k = spec.b[: spec.m].count(spec.right_pole_min)
+    if spec.n:  # Γ(1 - a_j + u), j < n
+        poles.append(-1j * (spec.left_pole_max - c))
+        k = max(k, spec.a[: spec.n].count(max(spec.a[: spec.n])))
+    d = max(abs(z) for z in poles)
+    # beyond e^{d lx_max} = 1/eps the line's rounding, eps e^{d lx_max} of x^c, is the larger error
+    growth = min(math.exp(d * lx_max), 1.0 / np.finfo(float).eps)
 
     def log_f(s):
         return _mb_log_integrand(spec, s) + (power * np.log(s) if power else 0)
 
-    return gl_line(log_f, c, width2_edges(height), order)
+    bucket = max(1, math.ceil(2.0 * lx_max / _LINE_REACH))
+    return gl_line(log_f, c, graded_edges(height, poles, _TOL * 100.0 ** -(k + 1) / growth, bucket))
 
 
 def _meijer_series(spec: MeijerSpec, x: np.ndarray, power: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from numpy.polynomial import laguerre
 from wpl import _hiprec
 from wpl import finite_kernel as fk
 from wpl import sampler as sp
+from wpl import specfun as sf
 from wpl.acceptance import _BIORTH_SETS
 from wpl.errors import CoincidentPoints, DomainError, NonConvergent
 from wpl.freeprob import EnsembleParams
@@ -506,11 +507,37 @@ def test_kernel_contour_line_is_graded():
         assert np.all(line.u.imag > 0)  # Gauss-Legendre nodes: none on the axis, the lower half mirrored
         # each panel's weights sum to twice its width, the lower half's share
         # doubled, and the panels tile the upper half line from 0
-        t = line.u.imag.reshape(-1, fk._LINE_ORDER)
+        t = line.u.imag.reshape(-1, sf._LINE_ORDER)
         edges = np.concatenate([[0.0], np.cumsum(line.w.reshape(t.shape).sum(axis=1) / 2)])
         assert np.all((edges[:-1, None] < t) & (t < edges[1:, None]))
         assert np.all(np.diff(edges) <= 2.0 / bucket + 1e-12) and edges[1] < 1.0
     assert set(fk.biorth_system(p)._contours) >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("params, reach", [
+    (EnsembleParams(N=10, r=1, s=0, nu=(0,)), 1.0), (EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,)), 12.0),
+    (EnsembleParams(N=30, r=3, s=0, nu=(0, 1, 0)), 20.0),
+], ids=["N10r1s0", "N20r2s1", "N30r3s0"])
+def test_kernel_contour_line_panels_by_line_tol(monkeypatch, params, reach):
+    # the outer line's panels, bit for bit, by the rule written out: each one
+    # keeps every pole outside the Bernstein ellipse ρ = line_tol^{-1/32} and
+    # is at most 2/m wide; its nodes are their order-16 Gauss-Legendre nodes
+    built = []
+    graded_edges = fk.graded_edges
+    monkeypatch.setattr(fk, "graded_edges", lambda *args: built.append((args, graded_edges(*args))) or built[-1][1])
+    line = fk.BiorthSystem(params).contour(reach).line
+    (height, poles, tol, bucket), edges = built.pop()
+    assert tol == sf.line_tol(np.float64) and bucket == math.ceil(reach / sf._LINE_REACH)
+    rho = sf.line_tol(np.float64) ** (-0.5 / 16)
+    a = rho + 1.0 / rho
+    ref = [0.0]
+    while ref[-1] < height:
+        d = poles - ref[-1]
+        half = min(1.0 / bucket, float(np.min(2.0 * a * np.abs(d) - 4.0 * d.real)) / (a * a - 4.0))
+        ref.append(min(ref[-1] + 2.0 * half, height))
+    assert np.array_equal(edges, ref)
+    t, w = sf.gl_panels(np.polynomial.legendre.leggauss(16), ref)
+    assert np.array_equal(line.u, -0.5 + 1j * t) and np.array_equal(line.w, 2 * w)
 
 
 P11_N10 = EnsembleParams(N=10, r=1, s=1, nu=(0,), mu=(0,))

@@ -132,6 +132,18 @@ def test_ln_gamma_matches_mpmath(dtype, gate):
     assert got.dtype == np.result_type(dtype, 1j) and np.max(err) <= gate, z[np.argmax(err)]
 
 
+@pytest.mark.parametrize("dtype, gate", [(np.float64, 4), (np.longdouble, 16)])
+def test_ln_gamma_is_principal(dtype, gate):
+    # Im ln Γ itself, not mod 2π, against mpmath's principal log-gamma: the
+    # shift's logs and the reflection's log sin(πz) add up to the right turn
+    cs, taus, re, im = mpmath_ln_gamma_grid()
+    z = (np.array(cs, dtype=dtype)[:, None] + 1j * taus.astype(dtype)).ravel()
+    got = sf.ln_gamma(z)
+    re, im = np.array([dtype(v) for v in re]), np.array([dtype(v) for v in im])
+    err = np.abs(got.imag - im) / (np.finfo(dtype).eps * np.maximum(8, np.hypot(re, im)))
+    assert np.max(err) <= gate, z[np.argmax(err)]
+
+
 def test_ln_gamma_follows_the_dtype_of_its_argument():
     z = np.array([0.5 + 3j, -2.5 + 1j, 20.0])
     assert sf.ln_gamma(z.astype(np.clongdouble)).dtype == np.clongdouble
@@ -279,8 +291,8 @@ def _exp_log_f(phase=0.0, above=0.0):
 
 
 def _exp_line(phase=0.0, above=0.0):
-    """e^{-x} as a Gauss-Legendre MellinLine on Re s = -1/2."""
-    return sf.gl_line(_exp_log_f(phase, above), -0.5, np.arange(0.0, 31.0, 2.0), 32)
+    """e^{-x} as a Gauss-Legendre MellinLine on Re s = -1/2, on width-1 panels."""
+    return sf.gl_line(_exp_log_f(phase, above), -0.5, np.arange(0.0, 31.0))
 
 
 def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
@@ -289,7 +301,7 @@ def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
     same check, one node a panel, on clongdouble nodes and log-gammas."""
     if dtype == np.float64:
         return _exp_line(phase, above)
-    u = _exp_line().u[::32].astype(np.clongdouble)
+    u = _exp_line().u[:: sf._LINE_ORDER].astype(np.clongdouble)
     log_f = _exp_log_f(phase, above)
     return sf.check_mirror(log_f, u, log_f(u), sf.line_tol(dtype))
 
@@ -479,6 +491,49 @@ def test_meijer_vs_mpmath_oracle():
     for x in (0.4, 1.0, 7.0):
         ref = float(mpmath.meijerg([[-5.5], [-2.0]], [[0.0, 0.6], []], x))
         assert sf.meijer_g(spec, ct, x) == pytest.approx(ref, rel=1e-11)
+
+
+# G^{m,n}_{p,q}(a; b): spec rows, and at x = 1e-8, 1e-4, 1e-2, 1, 30 the
+# absolute error bound, max(1e-13, twice the error of the order-36+ width-2
+# lines that the graded panels replaced)
+MEIJER_ORACLE = [
+    ((3, 0), (), (0, 0, 0, 0), (6.9e-12, 1.8e-13, 1e-13, 1e-13, 1e-13)),
+    ((4, 0), (), (0, 1, 0, 2, 0), (8.0e-12, 2.6e-13, 1e-13, 1e-13, 1e-13)),
+    ((2, 0), (), (0, 0, 0), (4.1e-12, 1.3e-13, 1e-13, 1e-13, 1e-13)),
+    ((2, 1), (-0.5,), (0, 0.5, 0), (5.5e-11, 1.6e-13, 1e-13, 1e-13, 1e-13)),
+    ((2, 0), (), (0, 0), (1.1e-11, 2.7e-13, 1e-13, 1e-13, 1e-13)),
+    ((5, 0), (), (0, 0, 0, 0, 0, 0), (2.1e-11, 2.9e-13, 1e-13, 1e-13, 1e-13)),
+]
+
+
+@pytest.mark.parametrize("orders, a, b, bounds", MEIJER_ORACLE,
+                         ids=["G30_04", "G40_05", "G20_03", "G21_13", "G20_02", "G50_06"])
+def test_meijer_vs_mpmath_across_specs(orders, a, b, bounds):
+    # multiple poles next to the line (k = 2..5), poles on both sides, and
+    # |ln x| up to 18.4, reach bucket 5
+    mpmath = pytest.importorskip("mpmath")
+    (m, n), a, b = orders, tuple(map(float, a)), tuple(map(float, b))
+    spec = sf.MeijerSpec(m, n, len(a), len(b), a, b)
+    ct = sf.ContourSpec.auto(spec)
+    for x, bound in zip((1e-8, 1e-4, 1e-2, 1.0, 30.0), bounds):
+        with mpmath.workdps(30):
+            ref = float(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]], x))
+        assert abs(sf.meijer_g(spec, ct, x) - ref) <= bound, x
+
+
+def test_meijer_line_panels():
+    # panels at most 2/m wide in reach bucket m, the first narrowing as the
+    # order k of the pole next to the line grows: G^{k,0}_{0,k}(x | 0..0)
+    lx_max = 9.0
+    bucket = math.ceil(2 * lx_max / sf._LINE_REACH)
+    first = []
+    for k in (1, 2, 3):
+        spec = sf.MeijerSpec(k, 0, 0, k, (), (0.0,) * k)
+        line = sf.meijer_line(spec, sf.ContourSpec.auto(spec), lx_max)
+        widths = line.w.reshape(-1, sf._LINE_ORDER).sum(axis=1) / 2
+        assert np.all(widths <= 2.0 / bucket + 1e-12) and widths[-2] == pytest.approx(2.0 / bucket)
+        first.append(widths[0])
+    assert first[0] > first[1] > first[2]
 
 
 def test_meijer_pole_separation_validation():
