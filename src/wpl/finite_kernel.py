@@ -93,21 +93,36 @@ def _log_abs_c(params: EnsembleParams, l: int) -> float:
     return math.lgamma(l + 1) + sum(shared)
 
 
+# Each gamma product below is one ln_gamma call on its factors' arguments
+# stacked (ln_gamma is elementwise); sum(rows, 0.0) then adds the rows in
+# order, as a call a factor did.
+
+
+def _shared_args(params: EnsembleParams, u) -> list:
+    """The arguments ν_j - u, j >= 1, and 1 + μ_p + N + u of the gammas that
+    every Q_l row carries whole."""
+    return [nu - u for nu in params.nu] + [1.0 + mu + params.N + u for mu in params.mu]
+
+
 def _log_gammas(params: EnsembleParams, u):
     """ln Γ(-u) Π_j Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u), ν_0 = 0: the gamma
     product of the Q_l lines, in the precision of u."""
-    return ln_gamma(-u) + _log_shared_gammas(params, u)
+    lg = ln_gamma(np.stack([-u] + _shared_args(params, u)))
+    return lg[0] + sum(lg[1:], 0.0)
 
 
 def _log_shared_gammas(params: EnsembleParams, u):
     """ln Π_{j>=1} Γ(ν_j - u) Π_p Γ(1 + μ_p + N + u): the factors of the
     gamma product that every Q_l row carries whole."""
-    out = 0.0
-    for nu in params.nu:
-        out = out + ln_gamma(nu - u)
-    for mu in params.mu:
-        out = out + ln_gamma(1.0 + mu + params.N + u)
-    return out
+    return sum(ln_gamma(np.stack(_shared_args(params, u))), 0.0)
+
+
+def _log_circle_g(params: EnsembleParams, t):
+    """ln G(t) of the double contour's circle: ln Γ(t - N + 1) less the
+    gamma product of _log_gammas at u = -t - 1."""
+    u = -t - 1.0
+    lg = ln_gamma(np.stack([t - params.N + 1.0, -u] + _shared_args(params, u)))
+    return lg[0] - (lg[1] + sum(lg[2:], 0.0))
 
 
 def _q_log_rows(params: EnsembleParams, u: np.ndarray) -> np.ndarray:
@@ -277,7 +292,7 @@ class BiorthSystem:
         # at N = 40).  Bucket 1 keeps a float64 ln G, 0.4-0.5 ms a circle where
         # the longdouble one takes 2-3 ms, about as long as the rest of a build
         t = tcirc if bucket == 1 else tcirc.astype(np.clongdouble)
-        log_g = (ln_gamma(t - N + 1.0) - _log_gammas(p, -t - 1.0)).astype(complex)
+        log_g = _log_circle_g(p, t).astype(complex)
 
         def log_f(u):  # Γ(-u)/Γ(-N-u) = (-u-1)...(-u-N), as in _q_log_rows; it overflows only where F does
             u = u.astype(np.clongdouble)  # whatever the dtype of the nodes

@@ -40,26 +40,35 @@ class HardEdgeParams:
 
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# rows of _g10_terms formed at once
+_TERM_BLOCK = 16
 
 
 def _g10_terms(params: HardEdgeParams, x: np.ndarray) -> np.ndarray:
     """The terms c_k x^k of G^{1,0}_{0,r+1}(x | -ν_0..-ν_r), rows k = 0, 1, ...
 
     c_k = (-1)^k / (k! Π_j Γ(1+ν_j+k)).  The terms rise to a peak near
-    k = x^{1/(r+1)} and then fall; rows stop once every point's term is
-    e^{-40} below its largest.
+    k = x^{1/(r+1)} and then fall; rows stop at the first row in which
+    every point's term is e^{-40} below its largest so far.  The rows are
+    formed _TERM_BLOCK at a time, as k ln x - ln k! - Σ_j ln Γ(1+ν_j+k);
+    a term beyond the float64 range up to the stop row raises
+    NonConvergent.
     """
-    log_x = np.log(x)
-    rows, top, k = [], np.full_like(log_x, -np.inf), 0
+    log_x = np.log(x).ravel()
+    blocks, top, k0 = [], np.full((1, log_x.size), -np.inf), 0
     while True:
-        log_t = k * log_x - math.lgamma(k + 1) - sum(math.lgamma(1.0 + v + k) for v in params.nu)
-        top = np.maximum(top, log_t)
-        if np.max(top) > _LOG_FLOAT_MAX:
+        ks = range(k0, k0 + _TERM_BLOCK)
+        lg = np.array([(math.lgamma(k + 1), sum(math.lgamma(1.0 + v + k) for v in params.nu)) for k in ks])
+        log_t = np.array(ks, dtype=float)[:, None] * log_x - lg[:, :1] - lg[:, 1:]
+        tops = np.maximum.accumulate(np.concatenate([top, log_t]), axis=0)[1:]
+        done = np.all(log_t < tops - 40.0, axis=1)
+        n = int(np.argmax(done)) + 1 if np.any(done) else _TERM_BLOCK
+        if np.max(tops[n - 1]) > _LOG_FLOAT_MAX:
             raise NonConvergent(f"0F_r series terms overflow at x = {np.max(x):g}")
-        rows.append((-1.0) ** k * np.exp(log_t))
-        if np.all(log_t < top - 40.0):
-            return np.array(rows)
-        k += 1
+        blocks.append(np.where(np.arange(k0, k0 + n) % 2, -1.0, 1.0)[:, None] * np.exp(log_t[:n]))
+        if np.any(done):
+            return np.concatenate(blocks).reshape((-1,) + np.shape(x))
+        top, k0 = tops[-1:], k0 + _TERM_BLOCK
 
 
 def _g10_series(params: HardEdgeParams, w: np.ndarray, power: int = 0) -> np.ndarray:
@@ -113,11 +122,6 @@ def _gr0_deltas(params: HardEdgeParams, w, powers) -> np.ndarray:
     return vals.reshape((len(powers),) + wv.shape)
 
 
-def _gr0_values(params: HardEdgeParams, w, power: int = 0) -> np.ndarray:
-    """G^{r,0}_{0,r+1}(w | ν_1..ν_r, ν_0), vectorized, with Δ^power."""
-    return _gr0_deltas(params, w, (power,))[0]
-
-
 # the Gauss-Legendre rule of _u_grid's panels
 _U_RULE = np.polynomial.legendre.leggauss(12)
 
@@ -135,10 +139,16 @@ def _u_grid(x_max: float):
 
 
 def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """r = 1: K(pts[ix], pts[iy]) by the u-integral of the two Bessel factors."""
+    """r = 1: K(pts[ix], pts[iy]) by the u-integral of the two Bessel factors
+    f(w) = w^{-ν/2} J_ν(2√w) (G^{1,0}, as _g10_series) and g(w) = w^{ν/2}
+    J_ν(2√w) (G^{1,0}_{0,2}(w | ν, 0), as _gr0_deltas) at w = ux: one J a
+    node and point serves both."""
     u, w = _u_grid(float(np.max(pts)))
-    f = _g10_series(params, np.outer(u, pts)) * w[:, None]
-    g = _gr0_values(params, np.outer(u, pts))
+    uw = np.outer(u, pts)
+    nu1 = float(params.nu[0])
+    bessel = bessel_j(nu1, 2.0 * np.sqrt(uw))
+    f = uw ** (-0.5 * nu1) * bessel * w[:, None]
+    g = uw ** (0.5 * nu1) * bessel
     return np.einsum("qp,qp->p", f[:, ix], g[:, iy])
 
 

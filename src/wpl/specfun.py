@@ -355,16 +355,14 @@ def _validate_contour(spec: MeijerSpec, contour: ContourSpec) -> None:
 
 
 def _mb_log_integrand(spec: MeijerSpec, s: np.ndarray) -> np.ndarray:
-    """log of the gamma-ratio part of the Mellin-Barnes integrand."""
+    """log of the gamma-ratio part of the Mellin-Barnes integrand: one
+    ln_gamma call on the factors' arguments stacked (ln_gamma is
+    elementwise), its rows added with their signs, numerator first."""
+    args = [b - s for b in spec.b[: spec.m]] + [1.0 - a + s for a in spec.a[: spec.n]]
+    args += [1.0 - b + s for b in spec.b[spec.m :]] + [a - s for a in spec.a[spec.n :]]
     g = np.zeros_like(s)
-    for j in range(spec.m):
-        g = g + ln_gamma(spec.b[j] - s)
-    for j in range(spec.n):
-        g = g + ln_gamma(1.0 - spec.a[j] + s)
-    for j in range(spec.m, spec.q):
-        g = g - ln_gamma(1.0 - spec.b[j] + s)
-    for j in range(spec.n, spec.p):
-        g = g - ln_gamma(spec.a[j] - s)
+    for j, lg in enumerate(ln_gamma(np.stack(args))):
+        g = g + lg if j < spec.m + spec.n else g - lg
     return g
 
 
@@ -456,17 +454,18 @@ def line_tol(dtype) -> float:
     return _TOL * float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
 
 
-def check_mirror(log_f, u: np.ndarray, log_f_u: np.ndarray, tol: float) -> None:
+def check_mirror(log_f_conj: np.ndarray, u: np.ndarray, log_f_u: np.ndarray, tol: float) -> None:
     """Raise InternalImaginaryResidue where F(conj u) and conj F(u) disagree.
 
     A line sum over the upper half stands for the whole line only if the
-    integrand is real on the real axis, F(conj u) = conj F(u).  log_f is the
-    builder's log F and log_f_u its values at the upper nodes u, a subset
-    that spans the whole height; a node's disagreement |e^{log F(conj u)} -
-    conj e^{log F(u)}| is allowed max(1e3 tol, 1e-12) of |F(u)|.
+    integrand is real on the real axis, F(conj u) = conj F(u).  log_f_u
+    holds the builder's log F at the upper nodes u, a subset that spans the
+    whole height, and log_f_conj its log F at their conjugates; a node's
+    disagreement |e^{log F(conj u)} - conj e^{log F(u)}| is allowed
+    max(1e3 tol, 1e-12) of |F(u)|.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rel = np.abs(np.exp(np.atleast_2d(log_f(np.conj(u))) - np.conj(np.atleast_2d(log_f_u))) - 1)
+        rel = np.abs(np.exp(np.atleast_2d(log_f_conj) - np.conj(np.atleast_2d(log_f_u))) - 1)
     allowed = max(1e3 * tol, 1e-12)
     if not np.all(rel <= allowed):  # NaN fails too
         worst = np.unravel_index(np.argmax(np.where(np.isnan(rel), np.inf, rel)), rel.shape)
@@ -642,7 +641,7 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     """
     rel = _LINE_ROUNDING * float(np.finfo(dtype).eps)
     level, level_f = _decayed_level(log_f, c, dtype)
-    check_mirror(log_f, level, level_f, line_tol(dtype))
+    check_mirror(log_f(np.conj(level)), level, level_f, line_tol(dtype))
     log_x = np.log(np.asarray(probes, dtype=dtype))
     two_pi = 2 * pi_in(dtype)
 
@@ -697,16 +696,41 @@ def gl_line(log_f, c: float, edges: np.ndarray) -> MellinLine:
     """The float64 MellinLine on Re u = c, |Im u| <= edges[-1], of the rows
     log_f(u), from _GL_RULE panels between the edges 0 = edges[0] <
     edges[1] < ... in Im u on the upper half, weights doubled for the
-    lower; one node a panel is check_mirror's.  A log_f in longdouble gives
+    lower; one node a panel is check_mirror's, and log_f takes its
+    conjugate in the nodes' own call.  A log_f in longdouble gives
     coefficients w F(u) / 2π formed there and rounded once."""
     t, w = gl_panels(_GL_RULE, edges)
     u = c + 1j * t
-    lf = np.atleast_2d(log_f(u))
-    check_mirror(log_f, u[::_LINE_ORDER], lf[:, ::_LINE_ORDER], _TOL)
+    lf = np.atleast_2d(log_f(np.concatenate([u, np.conj(u[::_LINE_ORDER])])))
+    lf, lf_conj = lf[:, : len(u)], lf[:, len(u) :]
+    check_mirror(lf_conj, u[::_LINE_ORDER], lf[:, ::_LINE_ORDER], _TOL)
     line = MellinLine(u, 2 * w, lf.astype(complex))
     if lf.dtype != line.log_f.dtype and line.coeff is not None:
         line.coeff = (np.exp(lf) * line.w / (2 * pi_in(np.longdouble))).astype(complex)
     return line
+
+
+# the heights _tail_height tests in its first call: of the 27 lines of a
+# hard_edge benchmark pass, 22 stop at the first height and 5 at the second
+_TAIL_FIRST = 4
+
+
+def _tail_height(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int) -> float:
+    """The first of the heights h_k = h_{k-1} 1.35, k <= 60, from the
+    contour's half_height, where the line's tail |F(c + ih)| x^c |c + ih|^power,
+    at any |ln x| <= lx_max, is below _TOL/100: the first _TAIL_FIRST in
+    one _mb_log_integrand call, the rest in a second only if none of them is."""
+    c = contour.abscissa
+    target = math.log(_TOL) + math.log(1e-2)
+    heights = [contour.half_height]
+    for _ in range(60):
+        heights.append(heights[-1] * 1.35)
+    for part in (heights[:_TAIL_FIRST], heights[_TAIL_FIRST:]):
+        tops = [c + 1j * h for h in part]
+        for h, top, val in zip(part, tops, np.real(_mb_log_integrand(spec, np.array(tops)))):
+            if not float(val) + abs(c) * lx_max + power * math.log(abs(top)) > target:
+                return h
+    raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
 
 
 def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: int = 0) -> MellinLine:
@@ -731,21 +755,7 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
             "no residue series available for this spec"
         )
 
-    def tail_log_mag(height: float) -> float:
-        s_top = c + 1j * height
-        val = float(np.real(_mb_log_integrand(spec, np.array([s_top]))[0]))
-        return val + abs(c) * lx_max + power * math.log(abs(s_top))
-
-    height = contour.half_height
-    target = math.log(_TOL) + math.log(1e-2)
-    tail = tail_log_mag(height)
-    grow = 0
-    while tail > target and grow < 60:
-        height *= 1.35
-        grow += 1
-        tail = tail_log_mag(height)
-    if tail > target:
-        raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
+    height = _tail_height(spec, contour, lx_max, power)
 
     # the nearest poles in τ (u = c + iτ), both d from the line on an auto
     # contour, and the highest order k among them.  Against 30-digit mpmath,
@@ -805,8 +815,16 @@ def _meijer_eval(spec: MeijerSpec, contour: ContourSpec, x, power: int):
     if np.any(x_arr <= 0):
         raise ContourViolation("argument x must be positive")
     if spec.decay_exponent > 0:
-        lx_max = float(np.max(np.abs(np.log(x_arr))))
-        out = meijer_line(spec, contour, lx_max, power).eval(x_arr)[0]
+        log_x = np.log(x_arr)
+        line = meijer_line(spec, contour, float(np.max(np.abs(log_x))), power)
+        out = line.eval(x_arr)[0]
+        # the line's rounding, eps x^c Σ_i |coeff_i|, against |G(x)|
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            loss = np.finfo(float).eps * np.exp(line.c * log_x + line.log_mass[0]) / np.abs(out)
+        if not np.all(loss <= _LOSS_BUDGET):  # NaN fails too
+            worst = int(np.argmax(np.where(np.isnan(loss), np.inf, loss)))
+            raise NonConvergent(f"Meijer G line loses too much at x = {x_arr[worst]:g}: "
+                                f"estimated error {loss[worst]:.1e} of |G(x)|")
     elif spec.m == 1 and spec.n == 0 and spec.p < spec.q:
         _validate_contour(spec, contour)
         out = _meijer_series(spec, x_arr, power)

@@ -176,6 +176,48 @@ def test_q_rows_product_matches_log_gamma_rows(N, dtype):
         assert np.all(np.abs(turns - np.round(turns)) * two_pi <= tol)
 
 
+def _log_shared_by_factor(params, u):
+    out = 0.0
+    for nu in params.nu:
+        out = out + sf.ln_gamma(nu - u)
+    for mu in params.mu:
+        out = out + sf.ln_gamma(1.0 + mu + params.N + u)
+    return out
+
+
+def _log_gammas_by_factor(params, u):
+    return sf.ln_gamma(-u) + _log_shared_by_factor(params, u)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_gamma_products_are_their_factors_in_one_call(monkeypatch, dtype):
+    # each gamma product is one ln_gamma call, bit for bit the sum of its
+    # factors' own calls in order: on the mid and deep lines, at the
+    # real points -(l+1) of |C_l| and on the double contour's circle
+    calls = []
+    ln_gamma = fk.ln_gamma
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return ln_gamma(z)
+
+    for params in (EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,)), EnsembleParams(N=6, r=1, s=0, nu=(2,))):
+        N = params.N
+        t = (N - 1) / 2 + (N / 2 - 0.25) * np.exp(2j * np.pi * np.arange(40) / 40).astype(np.result_type(dtype, 1j))
+        cases = [(fk._log_circle_g, t, lambda p, t: ln_gamma(t - p.N + 1.0) - _log_gammas_by_factor(p, -t - 1.0)),
+                 (fk._log_gammas, -np.arange(1, N + 1).astype(dtype), _log_gammas_by_factor)]
+        for c in (-0.5, -(N + 0.5)):
+            u = c + 1j * np.arange(-60.0, 60.25, 0.25).astype(dtype)
+            cases += [(fk._log_gammas, u, _log_gammas_by_factor), (fk._log_shared_gammas, u, _log_shared_by_factor)]
+        for product, u, by_factor in cases:
+            ref = by_factor(params, u)
+            monkeypatch.setattr(fk, "ln_gamma", counting)
+            calls.clear()
+            got = product(params, u)
+            monkeypatch.undo()
+            assert got.dtype == ref.dtype and np.array_equal(got, ref) and len(calls) == 1, product
+
+
 @lru_cache(maxsize=None)
 def mpmath_q(params, l, x):
     """Q_l(x) as a 25-digit string: mpmath's G of q_l_meijer_spec over |C_l|."""

@@ -202,7 +202,7 @@ def test_cd_numerator_asymptotic_envelope():
     xa, ya = np.array([x]), np.array([y])
     for j in range(3):
         fj = float(he._g10_series(R2, xa, power=j)[0])
-        gj = float(he._gr0_values(R2, ya, power=2 - j)[0])
+        gj = float(he._gr0_deltas(R2, ya, (2 - j,))[0, 0])
         total += (-1.0) ** j * fj * gj
     total = -total  # (-1)^{r+1} for r = 2
     pref = math.exp(1.5 * x ** (1 / 3)) * math.exp(-1.5 * y ** (1 / 3)) / math.pi
@@ -307,3 +307,58 @@ def test_loss_budget_raises_in_grid():
     with pytest.raises(NonConvergent, match="estimated error"):
         he.k_hard_grid(R2, [1.0, 500.0], [2.0])
     assert he.k_hard_grid(R2, [1.0, 200.0], [2.0]).shape == (2, 1)
+
+
+def _g10_terms_by_row(params, x):
+    """_g10_terms one row a step: term k as k ln x - ln k! - Σ_j ln Γ(1+ν_j+k),
+    until every point's term is e^{-40} below its largest so far."""
+    log_x = np.log(x)
+    rows, top, k = [], np.full_like(log_x, -np.inf), 0
+    while True:
+        log_t = k * log_x - math.lgamma(k + 1) - sum(math.lgamma(1.0 + v + k) for v in params.nu)
+        top = np.maximum(top, log_t)
+        if np.max(top) > he._LOG_FLOAT_MAX:
+            raise NonConvergent(f"0F_r series terms overflow at x = {np.max(x):g}")
+        rows.append((-1.0) ** k * np.exp(log_t))
+        if np.all(log_t < top - 40.0):
+            return np.array(rows)
+        k += 1
+
+
+# the largest x at which the rows of _g10_terms_by_row stay in float64
+G10_LAST_X = ((R1, 128702.69764324563), (R2, 13867933.708888961),
+              (HardEdgeParams(r=3, nu=(0, 1, 0)), 1103716232.113045))
+
+
+def test_g10_terms_are_the_row_by_row_terms():
+    # blocks of rows give the row loop's terms bit for bit, stop at its row,
+    # and overflow at the same x
+    for params, last in G10_LAST_X:
+        over = np.nextafter(last, np.inf)
+        for x in (np.array([1e-3]), np.geomspace(1e-4, 300.0, 13), np.geomspace(0.1, 5e3, 12).reshape(3, 4),
+                  np.array([0.5, last])):
+            ref = _g10_terms_by_row(params, x)
+            got = he._g10_terms(params, x)
+            assert got.shape == ref.shape and np.array_equal(got, ref), (params, x)
+        for x in (np.array([over]), np.array([0.5, over])):
+            with pytest.raises(NonConvergent):
+                _g10_terms_by_row(params, x)
+            with pytest.raises(NonConvergent, match="overflow"):
+                he._g10_terms(params, x)
+
+
+def test_bessel_pairs_take_one_bessel_a_node(monkeypatch):
+    # f = w^{-ν/2} J and g = w^{ν/2} J from one J, bit for bit the two
+    # factors evaluated apart (_g10_series and _gr0_deltas)
+    pts = np.array([0.3, 2.0, 9.0, 40.0])
+    ix, iy = np.divmod(np.arange(len(pts) ** 2), len(pts))
+    for params in (R1, HardEdgeParams(r=1, nu=(2,))):
+        u, w = he._u_grid(float(np.max(pts)))
+        uw = np.outer(u, pts)
+        f = he._g10_series(params, uw) * w[:, None]
+        g = he._gr0_deltas(params, uw, (0,))[0]
+        calls = []
+        monkeypatch.setattr(he, "bessel_j", lambda nu, x: calls.append(nu) or bessel_j(nu, x))
+        got = he._bessel_pairs(params, pts, ix, iy)
+        monkeypatch.undo()
+        assert np.array_equal(got, np.einsum("qp,qp->p", f[:, ix], g[:, iy])) and len(calls) == 1

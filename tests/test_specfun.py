@@ -165,6 +165,35 @@ def test_ln_gamma_pole():
         sf.ln_gamma(-3.0)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+def test_ln_gamma_on_stacked_rows_is_row_by_row(dtype):
+    # one call on a 2-d stack gives each row's own call bit for bit, which
+    # every gamma product's single call rests on: points on both sides of
+    # Re z = 1/2 and of both series cuts, |z| = 8 and 17
+    grid = (np.array([-12.3, -0.5, 0.49, 0.5, 0.51, 3.0, 7.99, 8.01, 16.99, 17.01, 40.0, -40.5])
+            + 1j * np.array([0.0, 1e-3, 0.7, 5.0, 16.9, -9.0])[:, None])
+    ring = np.array([r * f * np.exp(1j * a)
+                     for r in (8.0, 17.0) for f in (1 - 1e-9, 1 + 1e-9) for a in (0.3, 1.2, 2.5)])
+    rows = np.vstack([grid, ring, np.conj(ring)]).astype(dtype)
+    stacked = sf.ln_gamma(rows)
+    assert stacked.dtype == dtype
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(sf.ln_gamma(row), got)
+
+
+def _count_ln_gamma(monkeypatch, *modules):
+    """Route the modules' ln_gamma through a counter; returns its list of calls."""
+    calls, ln_gamma = [], sf.ln_gamma
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return ln_gamma(z)
+
+    for module in modules:
+        monkeypatch.setattr(module, "ln_gamma", counting)
+    return calls
+
+
 # --- pfq -----------------------------------------------------------------
 
 
@@ -303,7 +332,7 @@ def _exp_gl_mirror(dtype=np.float64, phase=0.0, above=0.0):
         return _exp_line(phase, above)
     u = _exp_line().u[:: sf._LINE_ORDER].astype(np.clongdouble)
     log_f = _exp_log_f(phase, above)
-    return sf.check_mirror(log_f, u, log_f(u), sf.line_tol(dtype))
+    return sf.check_mirror(log_f(np.conj(u)), u, log_f(u), sf.line_tol(dtype))
 
 
 def _exp_trapezoid_line(dtype=np.float64, phase=0.0, above=0.0):
@@ -519,6 +548,103 @@ def test_meijer_vs_mpmath_across_specs(orders, a, b, bounds):
         with mpmath.workdps(30):
             ref = float(mpmath.meijerg([a[:n], a[n:]], [b[:m], b[m:]], x))
         assert abs(sf.meijer_g(spec, ct, x) - ref) <= bound, x
+
+
+def _mb_log_integrand_by_factor(spec, s):
+    """The Mellin-Barnes log integrand one ln_gamma call a factor, added in
+    the order _mb_log_integrand keeps."""
+    g = np.zeros_like(s)
+    for j in range(spec.m):
+        g = g + sf.ln_gamma(spec.b[j] - s)
+    for j in range(spec.n):
+        g = g + sf.ln_gamma(1.0 - spec.a[j] + s)
+    for j in range(spec.m, spec.q):
+        g = g - sf.ln_gamma(1.0 - spec.b[j] + s)
+    for j in range(spec.n, spec.p):
+        g = g - sf.ln_gamma(spec.a[j] - s)
+    return g
+
+
+def _oracle_specs():
+    """The MEIJER_ORACLE specs, and two with p > n: G^{2,1}_{2,2}, and
+    G^{3,1}_{2,4}, whose four numerator and two denominator factors show
+    the order of the sum."""
+    specs = [sf.MeijerSpec(m, n, len(a), len(b), tuple(map(float, a)), tuple(map(float, b)))
+             for (m, n), a, b, _ in MEIJER_ORACLE]
+    return specs + [sf.MeijerSpec(2, 1, 2, 2, (-5.5, -2.0), (0.0, 0.6)),
+                    sf.MeijerSpec(3, 1, 2, 4, (-0.5, 1.3), (0.0, 0.5, 0.25, 0.7))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_mb_log_integrand_is_its_factors_in_one_call(monkeypatch, dtype):
+    t = np.linspace(-40.0, 40.0, 161).astype(dtype)
+    for spec in _oracle_specs():
+        s = dtype(sf.ContourSpec.auto(spec).abscissa) + 1j * t
+        ref = _mb_log_integrand_by_factor(spec, s)
+        calls = _count_ln_gamma(monkeypatch, sf)
+        got = sf._mb_log_integrand(spec, s)
+        monkeypatch.undo()
+        assert got.dtype == ref.dtype and np.array_equal(got, ref) and len(calls) == 1, spec
+
+
+def _tail_height_by_growth(spec, contour, lx_max, power):
+    """meijer_line's half-height as one tail evaluation a height found it."""
+    c = contour.abscissa
+
+    def tail_log_mag(height):
+        s_top = c + 1j * height
+        val = float(np.real(sf._mb_log_integrand(spec, np.array([s_top]))[0]))
+        return val + abs(c) * lx_max + power * math.log(abs(s_top))
+
+    height = contour.half_height
+    target = math.log(sf._TOL) + math.log(1e-2)
+    tail = tail_log_mag(height)
+    grow = 0
+    while tail > target and grow < 60:
+        height *= 1.35
+        grow += 1
+        tail = tail_log_mag(height)
+    if tail > target:
+        raise NonConvergent("integrand tail exceeds _TOL/100 at truncation height")
+    return height
+
+
+def test_meijer_line_height_is_the_growth_loops(monkeypatch):
+    # the same height as the loop, within the first four heights and past
+    # them (a low start), and the same raise; a build takes at most three
+    # ln_gamma calls: one or two for the height, one for the nodes
+    past_four = 0
+    for spec in _oracle_specs():
+        auto = sf.ContourSpec.auto(spec)
+        for contour in (auto, sf.ContourSpec(auto.abscissa, 0.5)):
+            for lx_max, power in ((0.0, 0), (9.0, 0), (9.0, 2), (60.0, 1)):
+                height = sf._tail_height(spec, contour, lx_max, power)
+                assert height == _tail_height_by_growth(spec, contour, lx_max, power)
+                past_four += height > contour.half_height * 1.35 ** 3.5
+                calls = _count_ln_gamma(monkeypatch, sf)
+                sf.meijer_line(spec, contour, lx_max, power)
+                monkeypatch.undo()
+                assert len(calls) <= 3
+        low = sf.ContourSpec(auto.abscissa, 1e-9)
+        for tail_height in (sf._tail_height, _tail_height_by_growth):
+            with pytest.raises(NonConvergent):
+                tail_height(spec, low, 1.0, 0)
+    assert past_four >= 10
+
+
+@pytest.mark.parametrize("orders, a, b, x", [
+    ((2, 0), (), (0.0, 0.0, 0.0), 1e-30),  # 67.31 for 67.35 before it raised
+    ((2, 0), (), (0.0, 0.0, 0.0), 1e-100),  # 8e33 for 228.5
+    ((2, 1), (-0.5,), (0.0, 0.5, 0.0), 1e-12),
+])
+def test_meijer_g_raises_where_the_line_rounding_outgrows_it(orders, a, b, x):
+    # eps x^c Σ|coeff| beyond _LOSS_BUDGET of |G(x)|: no number rather than a wrong one
+    (m, n) = orders
+    spec = sf.MeijerSpec(m, n, len(a), len(b), a, b)
+    with pytest.raises(NonConvergent, match="loses too much"):
+        sf.meijer_g(spec, sf.ContourSpec.auto(spec), x)
+    with pytest.raises(NonConvergent, match="loses too much"):
+        sf.meijer_g(spec, sf.ContourSpec.auto(spec), np.array([1.0, x]))
 
 
 def test_meijer_line_panels():
