@@ -63,12 +63,17 @@ def _p_coefficients(params: EnsembleParams, n: int) -> list[Fraction]:
     return coeffs
 
 
-def _p_matrix(params: EnsembleParams, x: np.ndarray) -> np.ndarray:
-    out = np.empty((params.N, len(x)), dtype=LD)
-    for n in range(params.N):
-        coeffs = [_frac_to_ld(c) for c in _p_coefficients(params, n)]
-        acc = np.full_like(x, coeffs[-1])
-        for c in reversed(coeffs[:-1]):
+def _ld_coefficients(params: EnsembleParams) -> list[list[np.longdouble]]:
+    """The coefficients of P_0..P_{N-1}, lowest first, rounded to longdouble."""
+    return [[_frac_to_ld(c) for c in _p_coefficients(params, n)] for n in range(params.N)]
+
+
+def _p_matrix(coeffs: list[list[np.longdouble]], x: np.ndarray) -> np.ndarray:
+    """The rows P_n(x) by Horner's rule on their coefficients (_ld_coefficients)."""
+    out = np.empty((len(coeffs), len(x)), dtype=LD)
+    for n, row in enumerate(coeffs):
+        acc = np.full_like(x, row[-1])
+        for c in reversed(row[:-1]):
             acc = acc * x + c
         out[n] = acc
     return out
@@ -76,11 +81,12 @@ def _p_matrix(params: EnsembleParams, x: np.ndarray) -> np.ndarray:
 
 def gram_quadrature(params: EnsembleParams, lo: float, hi: float):
     """Nodes, weights, P and Q in extended precision, on the ln-x trapezoid
-    grid over [lo, hi] on which every Gram entry has settled to GRAM_TOL."""
+    grid over [lo, hi] on which every Gram entry has settled to GRAM_TOL;
+    the P coefficients are rounded once, for every level."""
     from .finite_kernel import pq_trapezoid
 
-    return pq_trapezoid(params, lo, hi, partial(_p_matrix, params), lambda p, q: p[:, None, :] * q[None, :, :],
-                        GRAM_TOL, LD)
+    return pq_trapezoid(params, lo, hi, partial(_p_matrix, _ld_coefficients(params)),
+                        lambda p, q: p[:, None, :] * q[None, :, :], GRAM_TOL, LD)
 
 
 def gram_matrix(params: EnsembleParams, lo: float, hi: float) -> np.ndarray:

@@ -135,12 +135,6 @@ def _q_log_rows(params: EnsembleParams, u: np.ndarray) -> np.ndarray:
     return _log_shared_gammas(params, u) + ratio
 
 
-def _p_series(params: EnsembleParams, n: int) -> HypSeriesParams:
-    upper = (-float(n),) + tuple(1.0 - mu - params.N for mu in params.mu)
-    lower = tuple(1.0 + nu for nu in params.nu)
-    return HypSeriesParams.of(upper, lower)
-
-
 def _p_log_prefactor(params: EnsembleParams, n: int) -> float:
     total = 0.0
     for nu in params.nu:
@@ -150,21 +144,54 @@ def _p_log_prefactor(params: EnsembleParams, n: int) -> float:
     return total
 
 
+def _p_rows(params: EnsembleParams, degrees, x: np.ndarray) -> np.ndarray:
+    """P_n(x), one row per degree n of the ascending `degrees`: (-1)^n
+    e^{_p_log_prefactor} times the terminating series
+
+        Σ_k Π_i (a_i)_k / (k! Π_j (1 + ν_j)_k) ((-1)^s x)^k,  a = (-n, 1 - μ_p - N),
+
+    summed for every degree at once in specfun.pfq's float operations and
+    order, so each row is bit for bit pfq's: n + 1 terms.  A prefactor or
+    value beyond the float64 range raises NonConvergent, naming the least
+    such degree, as one p_n call a degree would."""
+    ns, flat = np.asarray(degrees), x.ravel()
+    log_pref = [_p_log_prefactor(params, int(n)) for n in ns]
+    pref = np.array([(-1.0) ** int(n) * (math.exp(v) if v <= _LOG_FLOAT_MAX else math.inf)
+                     for n, v in zip(ns, log_pref)])
+    upper, lower = [1.0 - mu - params.N for mu in params.mu], [1.0 + nu for nu in params.nu]
+    z = flat * (-1.0) ** params.s
+    term = np.ones((len(ns), len(flat)))
+    total = term.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(np.max(ns, initial=0))):
+            live = int(np.searchsorted(ns, k, side="right"))  # the rows of degree n > k
+            num = -ns[live:].astype(float) + k
+            for a in upper:
+                num = num * (a + k)
+            den = float(k + 1)
+            for b in lower:
+                den *= b + k
+            term[live:] = term[live:] * (num / den)[:, None] * z
+            total[live:] = total[live:] + term[live:]
+        value = pref[:, None] * total
+    bad = ~np.isfinite(value)
+    over = np.array(log_pref) > _LOG_FLOAT_MAX
+    if np.any(bad) or np.any(over):
+        row = int(np.argmax(over | np.any(bad, axis=1)))
+        _exp_float64(f"the P_{ns[row]} prefactor", log_pref[row], params)  # raises if it is the prefactor
+        raise NonConvergent(f"P_{ns[row]} is not finite at x = {flat[bad[row]][0]:g}: "
+                            f"its series overflows float64 (N = {params.N})")
+    return value.reshape((len(ns),) + x.shape)
+
+
 def p_n(params: EnsembleParams, n: int, x):
     """Monic biorthogonal polynomial of degree n (terminating series form);
     a prefactor or value beyond the float64 range raises NonConvergent."""
     if not 0 <= n <= params.N:
         raise DomainError(f"n must lie in 0..N, got {n}")
-    sign = (-1.0) ** n
-    pref = _exp_float64(f"the P_{n} prefactor", _p_log_prefactor(params, n), params)
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = sign * pref * pfq(_p_series(params, n), x * (-1.0) ** params.s)
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        raise NonConvergent(f"P_{n} is not finite at x = {np.atleast_1d(x)[np.atleast_1d(bad)][0]:g}: "
-                            f"its series overflows float64 (N = {params.N})")
-    return value
+    value = _p_rows(params, [n], x)[0]
+    return float(value) if x.ndim == 0 else value
 
 
 class ContourData(NamedTuple):
@@ -384,7 +411,7 @@ class BiorthSystem:
     def p_matrix(self, x: np.ndarray) -> np.ndarray:
         """All P_n (rows n = 0..N-1) on an array of points."""
         self._check_constants()
-        return np.vstack([p_n(self.params, n, x) for n in range(self.params.N)])
+        return _p_rows(self.params, np.arange(self.params.N), np.asarray(x, dtype=float))
 
     def kernel_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """K_N(x_i, y_j) = Σ_l P_l(x_i) Q_l(y_j)."""

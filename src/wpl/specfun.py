@@ -391,14 +391,16 @@ def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dty
     ends.  h halves from 1 until the real part of every component of
     I_h - I_{h/2} is within max(tol, rel × its unsigned mass); a level
     samples only its midpoints.  sample(nodes) gives the values kept (last
-    axis over nodes), and settle(nodes, samples) the integrands, node by
-    node.  mirrored (t0 = 0) stands for the rule on [-steps, steps] whose
-    lower half is the conjugate mirror of the upper: weights doubled off
-    t = 0, so Re I is the whole line's, and the nodes counted as the whole
-    line's.  first, if given, holds the samples of the h = 1 level.
-    Returns the final nodes, weights and samples.  An integrand
-    that is not finite raises NonConvergent at once, naming its node; so
-    does a grid past the budget.
+    axis over nodes), and settle(nodes, samples, w) a level's sums
+    Σ_k w_k f(x_k) of the integrands f and their unsigned masses
+    Σ_k w_k |f(x_k)|, given its weights w.  mirrored (t0 = 0) stands for
+    the rule on [-steps, steps] whose lower half is the conjugate mirror of
+    the upper: weights doubled off t = 0, so Re I is the whole line's, and
+    the nodes counted as the whole line's.  first, if given, holds the
+    samples of the h = 1 level.  Returns the final nodes, weights and
+    samples.  A grid past the budget raises NonConvergent; so does, at
+    once, an integrand that is not finite, if settle passes it through
+    `_finite`.
     """
     def weights(t, nodes, h):
         return h * jac(nodes) * (np.where(t > 0, 2, 1) if mirrored else 1)
@@ -410,12 +412,8 @@ def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dty
         nodes = node(t)
         with np.errstate(over="ignore", invalid="ignore"):
             samples = sample(nodes) if samples is None else samples
-            f = settle(nodes, samples)
-        bad = ~np.isfinite(f)
-        if np.any(bad):
-            raise NonConvergent(f"trapezoid integrand is not finite at {nodes[np.nonzero(bad)[-1][0]]}")
-        w = weights(t, nodes, h)
-        return nodes, samples, f @ w, np.abs(f) @ w
+            sums, mass = settle(nodes, samples, weights(t, nodes, h))
+        return nodes, samples, sums, mass
 
     h = dtype(1)
     nodes, samples, cur, mass = level(t0 + h * np.arange(steps + 1, dtype=dtype), h, first)
@@ -431,11 +429,24 @@ def halving_trapezoid(sample, settle, node, jac, t0, steps: int, tol: float, dty
             return nodes, weights(t0 + h * np.arange(len(nodes), dtype=dtype), nodes, h), samples
 
 
+def _finite(nodes: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """f, whose last axis runs over the nodes; NonConvergent, naming the
+    first node at which f is not finite."""
+    bad = ~np.isfinite(f)
+    if np.any(bad):
+        raise NonConvergent(f"trapezoid integrand is not finite at {nodes[np.nonzero(bad)[-1][0]]}")
+    return f
+
+
 def ln_trapezoid(sample, settle, lo: float, hi: float, tol: float, dtype=np.float64):
     """halving_trapezoid in t = ln x over [lo, hi]: nodes x_k = lo e^{kh} until
     x_k >= hi, weights h x_k, every component of settle(sample(x)) within tol."""
-    return halving_trapezoid(sample, lambda x, samples: settle(samples), np.exp, lambda x: x, np.log(dtype(lo)),
-                             int(math.ceil(math.log(hi / lo))), tol, dtype)
+    def sums(x, samples, w):
+        f = _finite(x, settle(samples))
+        return f @ w, np.abs(f) @ w
+
+    return halving_trapezoid(sample, sums, np.exp, lambda x: x, np.log(dtype(lo)), int(math.ceil(math.log(hi / lo))),
+                             tol, dtype)
 
 
 # Points per block of a line sum, so its nodes x points temporaries do not
@@ -549,7 +560,9 @@ class MellinLine:
         """
         if self.coeff is None:
             raise NonConvergent("Mellin-Barnes line coefficients overflow")
-        return self._sum_blocks(lambda sl: self.coeff @ basis(sl), n)
+        # np.dot: for clongdouble the dtype's dot loop, which adds in the
+        # order of @'s generic matmul loop at half its time; BLAS otherwise
+        return self._sum_blocks(lambda sl: np.dot(self.coeff, basis(sl)), n)
 
     def _sum_blocks(self, sums, n: int) -> np.ndarray:
         """Re sums(sl) in blocks of _CHUNK points; a sum that is not finite
@@ -645,13 +658,15 @@ def trapezoid_line(log_f, c: float, probes, dtype=np.float64) -> MellinLine:
     log_x = np.log(np.asarray(probes, dtype=dtype))
     two_pi = 2 * pi_in(dtype)
 
-    def probe_sums(u, lf):  # F_l(u) x_p^u / 2π, rows (l, p)
-        # e^{lf - top} x_p^{it} e^{top + c ln x_p}: (rows + probes) x nodes exps, not rows x probes x nodes;
-        # top, each row's peak, keeps the node factor within range wherever the sums are
+    def probe_sums(u, lf, w):  # Σ_k w_k F_l(u_k) x_p^{u_k} / 2π and its mass, rows l x probes p
+        # e^{top + c ln x_p} (e^{lf - top} @ (w x_p^{it})): (rows + probes) x nodes exps and one product,
+        # with |x_p^{it}| = 1 in the mass; top, each row's peak, keeps e^{lf - top} within range
         top = np.max(np.real(lf), axis=1, keepdims=True)
         scale = np.exp(top + c * log_x) / two_pi
-        return (np.exp(lf - top)[:, None, :] * np.exp(1j * np.multiply.outer(log_x, np.imag(u)))
-                * scale[:, :, None]).reshape(-1, len(u))
+        _finite(u, scale[:, :, None])  # a scale out of range spoils every node: the first is named
+        rows = _finite(u, np.exp(lf - top))
+        return (scale * np.dot(rows, w[:, None] * np.exp(1j * np.multiply.outer(np.imag(u), log_x))),
+                np.abs(scale) * np.dot(np.abs(rows), w)[:, None])
 
     u, w, lf = halving_trapezoid(lambda u: np.atleast_2d(log_f(u)), probe_sums, lambda t: c + 1j * t,
                                  lambda u: np.ones(len(u), dtype), dtype(0), len(level) - 1, line_tol(dtype), dtype,

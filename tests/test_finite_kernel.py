@@ -68,6 +68,49 @@ def test_p_n_overflow_raises():
         fk.p_n(EnsembleParams(N=60, r=1, s=0, nu=(0,)), 59, [1e6, 1e7])
 
 
+def _p_row_by_pfq_loop(params, n, x):
+    """P_n(x) as one pfq call a degree summed it: (-1)^n e^{log prefactor}
+    times the terminating series, term by term-ratio recurrence."""
+    upper = (-float(n),) + tuple(1.0 - mu - params.N for mu in params.mu)
+    lower = tuple(1.0 + nu for nu in params.nu)
+    z = x * (-1.0) ** params.s
+    term = np.ones_like(z)
+    total = term.copy()
+    for k in range(n):
+        num = 1.0
+        for a in upper:
+            num *= a + k
+        den = float(k + 1)
+        for b in lower:
+            den *= b + k
+        term = term * (num / den) * z
+        total = total + term
+    return (-1.0) ** n * math.exp(fk._p_log_prefactor(params, n)) * total
+
+
+@pytest.mark.parametrize("params", [EnsembleParams(N=10, r=1, s=0, nu=(0,)),
+                                    EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,)),
+                                    EnsembleParams(N=40, r=1, s=0, nu=(0,)),
+                                    EnsembleParams(N=6, r=2, s=2, nu=(0, 1), mu=(0, 1))])
+def test_p_rows_are_bit_for_bit_the_per_degree_series(params):
+    # all degrees in one loop, in the float operations and order of one
+    # series a degree: the same bits, from p_matrix and from p_n
+    x = np.geomspace(1e-3, 60.0, 37)
+    ref = np.array([_p_row_by_pfq_loop(params, n, x) for n in range(params.N)])
+    assert np.array_equal(fk.biorth_system(params).p_matrix(x), ref)
+    for n in (0, 1, params.N - 1):
+        assert np.array_equal(fk.p_n(params, n, x), ref[n])
+        assert fk.p_n(params, n, 2.5) == _p_row_by_pfq_loop(params, n, np.array(2.5))
+    if 0 not in params.mu:  # P_N's prefactor has a pole where some mu is 0
+        assert np.array_equal(fk.p_n(params, params.N, x), _p_row_by_pfq_loop(params, params.N, x))
+
+
+def test_p_matrix_overflow_names_the_least_degree():
+    # P_45(1e7) is the first row to leave float64, as a p_n call a degree found it
+    with pytest.raises(NonConvergent, match=r"P_45 is not finite at x = 1e\+07"):
+        fk.biorth_system(EnsembleParams(N=60, r=1, s=0, nu=(0,))).p_matrix(np.array([3.0, 1e6, 1e7]))
+
+
 def test_p_n_monic_by_finite_differences():
     # n-th forward difference at unit steps / n! extracts the leading coefficient
     p = EnsembleParams(N=4, r=2, s=1, nu=(0, 1), mu=(0,))
@@ -512,7 +555,7 @@ def test_kernel_contour_low_order_line_at_its_reach(params, x, y):
         ref, diag = (lx @ ly) * math.exp(-y), (lx @ lx) * math.exp(-x) * (ly @ ly) * math.exp(-y)
     else:  # exact rational P x longdouble Q
         pts = np.array([x, y], dtype=np.longdouble)
-        k = (_hiprec._p_matrix(params, pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
+        k = (_hiprec._p_matrix(_hiprec._ld_coefficients(params), pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
         ref, diag = k[0, 1], k[0, 0] * k[1, 1]
     assert abs(value - ref) <= 1e-10 * math.sqrt(diag)
 
@@ -532,7 +575,7 @@ def test_kernel_contour_far_reach_matches_longdouble_sum(params, x, y, bucket):
     value = fk.kernel_n_contour(params, x, y).value
     assert set(fk.biorth_system(params)._contours) == {bucket}
     pts = np.array([x, y], dtype=np.longdouble)
-    k = (_hiprec._p_matrix(params, pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
+    k = (_hiprec._p_matrix(_hiprec._ld_coefficients(params), pts).T @ fk.biorth_system(params).q_matrix(pts)).astype(float)
     assert abs(value - k[0, 1]) <= 1e-10 * math.sqrt(abs(k[0, 0] * k[1, 1]))
 
 
@@ -600,7 +643,7 @@ def test_kernel_contour_matches_longdouble_sum():
     # exact rational P x longdouble Q; at x = 10 this sum equals 40-digit
     # mpmath to the last digit.  The hand-set line height left 4.3e-8 here
     x = np.array([5.0], dtype=np.longdouble)
-    ref = float((_hiprec._p_matrix(P11_N10, x) * fk.biorth_system(P11_N10).q_matrix(x)).sum())
+    ref = float((_hiprec._p_matrix(_hiprec._ld_coefficients(P11_N10), x) * fk.biorth_system(P11_N10).q_matrix(x)).sum())
     assert fk.kernel_n_contour(P11_N10, 5.0, 5.0).value == pytest.approx(ref, rel=1e-8)
 
 

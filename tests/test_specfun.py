@@ -501,6 +501,25 @@ def test_hard_edge_contracts_match_whole_line():
                                        he._gr0_deltas(params, pts, powers).ravel())
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_contract_is_bit_for_bit_coeff_matmul(dtype):
+    # np.dot: BLAS for a complex128 line, the dtype's dot loop for a
+    # clongdouble one; both add as `coeff @ basis` does, block by block
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    line = fk.BiorthSystem(EnsembleParams(N=10, r=2, s=1, nu=(0, 1), mu=(0,)))._line("mid", dtype)
+    assert line.coeff.dtype == (np.complex128 if dtype == np.float64 else np.clongdouble)
+    log_x = np.log(np.geomspace(1e-6, 8.0, 100).astype(dtype))
+
+    def basis(sl):
+        return line._x_power(log_x[sl])
+
+    ref = np.concatenate([np.real(line.coeff @ basis(slice(lo, lo + sf._CHUNK)))
+                          for lo in range(0, len(log_x), sf._CHUNK)], axis=1)
+    assert np.array_equal(line.contract(basis, len(log_x)), ref)
+
+
 def test_mellin_line_rejects_unmirrored_nodes():
     # a line holds the upper half only: its lower half is the mirror
     line = _exp_line()
@@ -779,8 +798,9 @@ def test_trapezoid_line_settles_on_exp():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_trapezoid_line_settles_as_with_folded_probe_sums(dtype):
-    # the probe sums as e^{ln F - top} x^{it} e^{top + c ln x} stop the
-    # halving at the same h as one exp per row, probe and node
+    # the probe sums as e^{top + c ln x} (e^{ln F - top} @ (w x^{it})) stop
+    # the halving at the same h as one exp per row, probe and node, reduced
+    # as f @ w and |f| @ w
     from wpl import finite_kernel as fk
     from wpl.freeprob import EnsembleParams
 
@@ -796,14 +816,49 @@ def test_trapezoid_line_settles_as_with_folded_probe_sums(dtype):
         def log_f(u):
             return fk._q_log_rows(params, u) - log_c[:, None]
 
-        def folded(u, lf):
-            return np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / (2 * sf.pi_in(dtype))
+        def folded(u, lf, w):
+            f = np.exp(lf[:, None, :] + np.multiply.outer(log_x, u)).reshape(-1, len(u)) / (2 * sf.pi_in(dtype))
+            return f @ w, np.abs(f) @ w
 
         m = sf.end_decay_height(log_f, c, dtype)
         u, _, _ = sf.halving_trapezoid(log_f, folded, lambda t: c + 1j * t, lambda u: np.ones(len(u), dtype),
                                        -dtype(m), 2 * m, sf.line_tol(dtype), dtype,
                                        sf._LINE_ROUNDING * float(np.finfo(dtype).eps))
         assert np.array_equal(system._line(regime, dtype).u, u[len(u) // 2:])  # the upper half of u
+
+
+def test_trapezoid_line_probe_sums_memory_bounded():
+    # the probe sums are (rows + probes) x nodes and one product: a rows x
+    # probes x nodes integrand took the N = 40 mid line (1921 nodes, 40
+    # rows, 5 probes) to 7.6 MiB; it peaks at 4.3 MiB
+    import tracemalloc
+
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    system = fk.BiorthSystem(EnsembleParams(N=40, r=1, s=0, nu=(0,)))
+    tracemalloc.start()
+    try:
+        system._line("mid", np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_trapezoid_line_non_finite_integrand_raises_at_once():
+    # NaN at the first midpoint: the first halving (27 midpoints) names its
+    # node; halving on towards the node budget would sample 54, 108, ...
+    spec = sf.MeijerSpec(1, 0, 0, 1, (), (0.0,))
+    levels = []
+
+    def log_f(s):
+        levels.append(len(s))
+        return np.where(s.imag == 0.5, np.nan, sf._mb_log_integrand(spec, s))
+
+    with pytest.raises(NonConvergent, match=r"not finite at \(-0.5\+0.5j\)"):
+        sf.trapezoid_line(log_f, -0.5, (1e-3, 1.0, 8.0))
+    assert max(levels) < 100
 
 
 def test_trapezoid_line_near_pole_raises():
