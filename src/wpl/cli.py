@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--scaling", choices=[v.value for v in sp.Scaling], default="raw")
-    p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("density", help="global density: phi-parametric map vs Stieltjes solver")
     common(p, ensemble=False)
@@ -339,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:count")
     p.add_argument("--log", action="store_true")
-    p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("moments", help="exact moment sequences")
     common(p, ensemble=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--pmax", type=_count, default=6)
-    p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("charpoly", help="generalized characteristic polynomial")
     common(p)
@@ -354,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="Monte Carlo draws, at least 100 (0: exact only)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=_count, default=1)
-    p.set_defaults(fn=cmd_charpoly)
 
     p = sub.add_parser("kernel", help="finite-N correlation kernel")
     common(p)
     p.add_argument("--x", default="1.0")
     p.add_argument("--y", default="1.0")
     p.add_argument("--method", choices=("sum", "contour", "both"), default="both")
-    p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("hardedge", help="hard-edge scaled kernel")
     common(p, ensemble=False)
@@ -371,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="1.0")
     p.add_argument("--y", default="2.0")
     p.add_argument("--method", choices=("integral", "cd", "both"), default="integral")
-    p.set_defaults(fn=cmd_hardedge)
 
     p = sub.add_parser("cauchy", help="Cauchy two-matrix bridge sampling")
     common(p, ensemble=False)
@@ -381,14 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=_count, default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--max-x", type=float, default=5.0)
-    p.set_defaults(fn=cmd_cauchy)
 
     p = sub.add_parser("bulk", help="hard-edge-to-bulk comparison (exploratory)")
     common(p, ensemble=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--c", type=float, default=95.0)
     p.add_argument("--grid", default="0:2:9")
-    p.set_defaults(fn=cmd_bulk)
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")
     common(p, ensemble=False)
@@ -397,16 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="scale statistical tolerances by a factor in (0, 1] (0.01 demonstrates failures)")
     p.add_argument("--json", help="write machine-readable report here")
-    p.set_defaults(fn=cmd_acceptance)
 
     return parser
 
 
+# built once at import, like specfun._GL_RULE: parse_args leaves it unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, not held by the parser
     try:
-        return args.fn(args)
+        return command(args)
     except (ConfigError, DomainError) as exc:  # a parameter out of range is bad input too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

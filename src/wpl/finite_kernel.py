@@ -186,9 +186,13 @@ def _p_rows(params: EnsembleParams, degrees, x: np.ndarray) -> np.ndarray:
 
 def p_n(params: EnsembleParams, n: int, x):
     """Monic biorthogonal polynomial of degree n (terminating series form);
-    a prefactor or value beyond the float64 range raises NonConvergent."""
+    a prefactor or value beyond the float64 range raises NonConvergent.  At
+    n = N with some μ_p = 0 the prefactor's Γ(μ_p + N - n) is at its pole,
+    which raises DomainError."""
     if not 0 <= n <= params.N:
         raise DomainError(f"n must lie in 0..N, got {n}")
+    if n == params.N and 0 in params.mu:
+        raise DomainError(f"P_{n} is undefined at mu = {params.mu}: Gamma(mu_p + N - n) has a pole at mu_p = 0")
     x = np.asarray(x, dtype=float)
     value = _p_rows(params, [n], x)[0]
     return float(value) if x.ndim == 0 else value

@@ -124,15 +124,28 @@ def _gr0_deltas(params: HardEdgeParams, w, powers) -> np.ndarray:
 
 # the Gauss-Legendre rule of _u_grid's panels
 _U_RULE = np.polynomial.legendre.leggauss(12)
+# the widest _u_grid panel, in t = -ln u, past the Bessel oscillation
+_U_MAX_WIDTH = 4.0
 
 
 def _u_grid(x_max: float):
     """Nodes/weights for ∫_0^1 du with u = e^{-t}: resolves the log endpoint
-    and the oscillation of the r = 1 Bessel factors at points up to x_max."""
+    and the oscillation of the r = 1 Bessel factors at points up to x_max.
+
+    J_ν(2√(x e^{-t})) oscillates only while t < t_osc = ln x_max; there the
+    panels keep the width w0 that the oscillation budget sets.  Past t_osc
+    the factors vary at the rate √x_max e^{-t/2}, so each panel is
+    w0 e^{(t - t_osc)/2} wide at its left edge t, up to _U_MAX_WIDTH.
+    """
     t_max = 42.0
     phase = 3.0 * math.sqrt(x_max) + 8.0  # oscillation budget
-    n_panels = max(24, int(t_max * 1.2), int(2.0 * phase))
-    edges = np.linspace(0.0, t_max, n_panels + 1)
+    w0 = t_max / max(24, int(t_max * 1.2), int(2.0 * phase))
+    t_osc = max(0.0, math.log(x_max))
+    edges = [0.0]
+    while edges[-1] < t_max:
+        left = edges[-1]
+        width = w0 if left < t_osc else min(_U_MAX_WIDTH, w0 * math.exp(0.5 * (left - t_osc)))
+        edges.append(min(left + width, t_max))
     t, wt = gl_panels(_U_RULE, edges)
     u = np.exp(-t)
     return u, wt * u  # du = e^{-t} dt
@@ -232,9 +245,11 @@ def k_hard_cd(params: HardEdgeParams, x: float, y: float) -> KernelEval:
     r = params.r
     xa = np.array([x])
     g = _gr0_deltas(params, np.array([y]), range(r + 1))[:, 0]
+    terms = _g10_terms(params, xa)  # Δ^j f(x) = Σ_k k^j c_k x^k, as _g10_series
+    k = np.arange(len(terms))
     total = 0.0
     for j in range(r + 1):
-        fj = float(_g10_series(params, xa, power=j)[0])
+        fj = float(_g10_series(params, xa)[0] if r == 1 and j == 0 else (k**j @ terms)[0])
         total += (-1.0) ** j * fj * float(g[r - j])
     value = (-1.0) ** (r + 1) * total / (x - y)
     return KernelEval(x=x, y=y, value=value, method="christoffel_darboux")

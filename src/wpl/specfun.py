@@ -236,8 +236,14 @@ def pfq(params: HypSeriesParams, x):
         if p_ == q_ + 1 and np.any(np.abs(x_arr) >= 1.0):
             raise DivergentSeries(f"{p_}F{q_} diverges for |x| >= 1")
 
-    term = np.ones_like(x_arr)
-    total = term.copy()
+    # the same float operations on Python floats for a scalar (numpy's
+    # in-place operators cost about twice its binary ones on one element);
+    # in place on arrays, with the stop test's |term| and bound in two buffers
+    if scalar:
+        z, term, total = float(x_arr[0]), 1.0, 1.0
+    else:
+        z, term, total = x_arr, np.ones_like(x_arr), np.ones_like(x_arr)
+        size, scale = np.empty_like(x_arr), np.empty_like(x_arr)
     n_stop = params.terminating_at
     consecutive = 0
     k = 0
@@ -254,17 +260,25 @@ def pfq(params: HypSeriesParams, x):
             den *= b + k
         if den == 0.0:
             raise LowerParamPole(f"lower parameter pole at term {k + 1}")
-        term = term * (num / den) * x_arr
-        total = total + term
+        term *= num / den
+        term *= z
+        total += term
         k += 1
         if n_stop is None:
-            if np.all(np.abs(term) <= _PFQ_TOL * np.maximum(np.abs(total), 1e-300)):
+            if scalar:
+                small = abs(term) <= _PFQ_TOL * max(abs(total), 1e-300)
+            else:
+                np.abs(term, out=size)
+                np.maximum(np.abs(total, out=scale), 1e-300, out=scale)
+                scale *= _PFQ_TOL
+                small = (size <= scale).all()
+            if small:
                 consecutive += 1
                 if consecutive >= 3:
                     break
             else:
                 consecutive = 0
-    return float(total[0]) if scalar else total
+    return total
 
 
 # --------------------------------------------------------------------------

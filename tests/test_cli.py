@@ -225,6 +225,44 @@ def test_kernel_overflowing_constant_is_numerical_failure():
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("calls", [
+    [(["moments", "--r", "2", "--pmax", "4"], 0), (["hardedge", "--r", "1", "--diag", "0.5:3:4"], 0),
+     (["density", "--r", "1", "--s", "0", "--grid", "0.5:3:3"], 0), (["moments", "--r", "2", "--pmax", "4"], 0)],
+    [(["hardedge", "--r", "1", "--x", "0.5,2", "--y", "3", "--method", "both"], 0),
+     (["kernel", "--N", "120", "--r", "1", "--s", "1", "--mu", "0", "--method", "contour"], 3),
+     (["hardedge", "--r", "2", "--diag", "0:1:3"], 2),
+     (["hardedge", "--r", "1", "--x", "0.5,2", "--y", "3", "--method", "both"], 0)],
+], ids=["ok", "with_failures"])
+def test_import_time_parser_serves_successive_calls(calls, monkeypatch, capsys):
+    # one parser for every call: the same output and exit codes as a fresh
+    # parser a call
+    def outcomes(fresh):
+        results = []
+        for argv, _ in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            code = cli.main(argv)
+            results.append((code, *capsys.readouterr()))
+        monkeypatch.undo()
+        return results
+
+    held = outcomes(fresh=False)
+    assert [code for code, _, _ in held] == [code for _, code in calls]
+    assert held == outcomes(fresh=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments"], ["moments", "--r", "two"], ["nosuch"], ["hardedge", "--r", "1", "--method", "x"],
+])
+def test_bad_arguments_exit_2_on_every_call(argv, capsys):
+    # argparse rejects bad input with exit 2, on the held parser's every call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG_ERROR
+        assert "error" in capsys.readouterr().err
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     # a non-WplError escaping a subcommand exits 3 with a one-line message
     def broken(args):

@@ -101,8 +101,11 @@ def test_p_rows_are_bit_for_bit_the_per_degree_series(params):
     for n in (0, 1, params.N - 1):
         assert np.array_equal(fk.p_n(params, n, x), ref[n])
         assert fk.p_n(params, n, 2.5) == _p_row_by_pfq_loop(params, n, np.array(2.5))
-    if 0 not in params.mu:  # P_N's prefactor has a pole where some mu is 0
+    if 0 not in params.mu:
         assert np.array_equal(fk.p_n(params, params.N, x), _p_row_by_pfq_loop(params, params.N, x))
+    else:  # P_N's prefactor Γ(μ_p + N - n) has its pole: a WplError, not math's ValueError
+        with pytest.raises(DomainError, match=rf"P_{params.N} .*mu = \({params.mu[0]}"):
+            fk.p_n(params, params.N, x)
 
 
 def test_p_matrix_overflow_names_the_least_degree():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from wpl import hard_edge as he
 from wpl.errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
@@ -59,6 +60,50 @@ def test_bessel_reduction_all_a():
         assert np.max(np.abs(diag - he.bessel_density(a, xs))) < 1e-6
 
 
+def scipy_bessel_kernel(a: int, x, y) -> np.ndarray:
+    """r = 1 kernel from scipy's J: J_a² - J_{a+1}J_{a-1} at 2√x on the
+    diagonal, the gauged Bessel kernel (y/x)^{a/2} K_Bessel(x, y) off it."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    sx, sy = 2.0 * np.sqrt(x), 2.0 * np.sqrt(y)
+    jx, jy = scipy.special.jv(a, sx), scipy.special.jv(a, sy)
+    diag = jx**2 - scipy.special.jv(a + 1, sx) * scipy.special.jv(a - 1, sx)
+    same = x == y
+    dx = np.where(same, 1.0, x - y)
+    off = (sx * scipy.special.jv(a + 1, sx) * jy - sy * jx * scipy.special.jv(a + 1, sy)) / (2.0 * dx)
+    return np.where(same, diag, (y / x) ** (a / 2.0) * off)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_r1_kernel_matches_scipy_bessel(a):
+    # an oracle that shares no code with wpl's bessel_j, normwise over
+    # x in [0.05, 40], through k_hard_diag and through a k_hard_grid
+    params = HardEdgeParams(r=1, nu=(a,))
+    xs = np.linspace(0.05, 40.0, 41)
+    ref = scipy_bessel_kernel(a, xs, xs)
+    assert np.max(np.abs(he.k_hard_diag(params, xs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    pts = np.geomspace(0.05, 40.0, 12)
+    ref = scipy_bessel_kernel(a, pts[:, None], pts[None, :])
+    assert np.max(np.abs(he.k_hard_grid(params, pts, pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_u_grid_widens_past_the_bessel_oscillation():
+    # panels keep the uniform rule's width w0 while J_ν(2√(x e^{-t}))
+    # oscillates (t < ln x_max) and widen beyond, to at most a third of
+    # the uniform rule's nodes
+    x_max, xg = 40.0, he._U_RULE[0]
+    n_uniform = max(24, int(42.0 * 1.2), int(2.0 * (3.0 * math.sqrt(x_max) + 8.0)))
+    w0 = 42.0 / n_uniform
+    u, w = he._u_grid(x_max)
+    t = -np.log(u).reshape(-1, len(xg))  # one row a panel
+    widths = 2.0 * (t[:, -1] - t[:, 0]) / (xg[-1] - xg[0])
+    left = t.mean(axis=1) - widths / 2.0
+    osc = left < math.log(x_max)
+    assert u.size <= n_uniform * len(xg) / 3
+    assert np.allclose(widths[osc], w0, rtol=1e-9, atol=0.0)
+    assert np.all(widths[~osc][:-1] > w0) and np.all(widths <= he._U_MAX_WIDTH * (1.0 + 1e-12))
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_off_diagonal_matches_bessel_kernel_gauge():
     # r=1, nu=(a): K(x,y) = (y/x)^{a/2} * Bessel kernel
     for a in (0, 1):
@@ -83,6 +128,25 @@ def test_cd_matches_integral_r2():
 
 def test_cd_r1_reduces_to_bessel():
     assert he.k_hard_cd(R1, 1.0, 4.0).value == pytest.approx(bessel_kernel(1.0, 4.0), rel=1e-8)
+
+
+def _cd_by_power(params: HardEdgeParams, x: float, y: float) -> float:
+    """k_hard_cd's sum with one _g10_series call a power of Δ_x."""
+    r, xa = params.r, np.array([x])
+    g = he._gr0_deltas(params, np.array([y]), range(r + 1))[:, 0]
+    total = 0.0
+    for j in range(r + 1):
+        total += (-1.0) ** j * float(he._g10_series(params, xa, power=j)[0]) * float(g[r - j])
+    return (-1.0) ** (r + 1) * total / (x - y)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cd_forms_the_g10_terms_once(r):
+    # the terms of G^{1,0} formed once and weighted by k^j: bit for bit
+    # one series a power
+    params = HardEdgeParams(r=r, nu=(0,) * r)
+    for x, y in ((1.0, 4.0), (0.7, 12.5), (9.0, 2.0), (30.0, 0.3)):
+        assert he.k_hard_cd(params, x, y).value == _cd_by_power(params, x, y)
 
 
 def test_cd_near_diagonal_continuity():

@@ -244,6 +244,78 @@ def test_pfq_vectorized():
     assert np.allclose(sf.pfq(p, xs), np.exp(xs), rtol=1e-13)
 
 
+def _pfq_allocating_loop(params, x):
+    """pfq's series loop written with a new array for every operation: the
+    float operations and order that pfq keeps, in place on arrays and on
+    Python floats for a scalar."""
+    params.check()
+    p_, q_ = len(params.upper), len(params.lower)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float)).astype(float)
+    if params.terminating_at is None:
+        if p_ > q_ + 1:
+            raise DivergentSeries("diverges")
+        if p_ == q_ + 1 and np.any(np.abs(x_arr) >= 1.0):
+            raise DivergentSeries("diverges")
+    term = np.ones_like(x_arr)
+    total = term.copy()
+    n_stop, consecutive, k = params.terminating_at, 0, 0
+    while n_stop is None or k < n_stop:
+        if k >= sf._PFQ_MAX_TERMS:
+            raise NonConvergent("no convergence")
+        num = 1.0
+        for a in params.upper:
+            num *= a + k
+        den = float(k + 1)
+        for b in params.lower:
+            den *= b + k
+        term = term * (num / den) * x_arr
+        total = total + term
+        k += 1
+        if n_stop is None:
+            if np.all(np.abs(term) <= sf._PFQ_TOL * np.maximum(np.abs(total), 1e-300)):
+                consecutive += 1
+                if consecutive >= 3:
+                    break
+            else:
+                consecutive = 0
+    return float(total[0]) if np.ndim(x) == 0 else total
+
+
+@pytest.mark.parametrize("upper, lower, x", [
+    ((), (1.0,), -np.geomspace(1e-6, 81.0, 40)),  # 0F1, bessel_j's series
+    ((), (3.0,), -np.linspace(0.0, 60.0, 25).reshape(5, 5)),
+    ((), (), np.array([-30.0, -1.0, 0.0, 2.5, 40.0])),
+    ((0.5,), (1.5, 2.0), 7.25),
+    ((1.0,), (), np.array([-0.99, 0.3, 0.9])),
+    ((-4.0, 2.5), (1.0, 3.0), np.array([0.7, -3.0, 1e3])),  # terminating
+    ((-7.0, -19.0), (1.0, 2.0), -np.geomspace(1e-3, 60.0, 9)),
+    ((-2.0,), (-3.0,), 1.0),
+    ((), (2.0,), -300.0),  # scalars take Python floats
+    ((), (), 800.0),  # overflows to inf, as the arrays do
+    ((-5.0,), (0.5,), np.array(-2.75)),
+    ((1.0,), (1.5,), -0.5),
+])
+def test_pfq_in_place_loop_is_bit_for_bit_the_allocating_loop(upper, lower, x):
+    params = sf.HypSeriesParams.of(upper, lower)
+    with np.errstate(over="ignore"):
+        got, ref = sf.pfq(params, x), _pfq_allocating_loop(params, x)
+    assert type(got) is type(ref) and np.shape(got) == np.shape(ref) and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("params, x, error", [
+    (sf.HypSeriesParams((0.5,), (-2.0,)), 1.0, LowerParamPole),
+    (sf.HypSeriesParams.of((1.0, 2.0, 3.0), (1.5,)), 0.5, DivergentSeries),
+    (sf.HypSeriesParams.of((1.0, 2.0), (3.0,)), np.array([0.5, -1.0]), DivergentSeries),
+    (sf.HypSeriesParams.of((1.0,), ()), np.array([0.5, 0.99999]), NonConvergent),
+    (sf.HypSeriesParams.of((1.0,), ()), 0.99999, NonConvergent),
+])
+def test_pfq_in_place_loop_raises_as_the_allocating_loop(params, x, error):
+    with pytest.raises(error):
+        _pfq_allocating_loop(params, x)
+    with pytest.raises(error):
+        sf.pfq(params, x)
+
+
 # --- meijer_g ------------------------------------------------------------
 
 
