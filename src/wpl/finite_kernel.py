@@ -23,9 +23,8 @@ from . import _hiprec
 from .errors import DomainError, NonConvergent
 from .freeprob import EnsembleParams
 from .specfun import (
-    _LINE_REACH, ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, check_kernel_loss,
-    end_decay_height, gl_line, graded_edges, kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq,
-    trapezoid_line,
+    _LINE_REACH, ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, MellinLine, end_decay_height, gl_line,
+    graded_edges, kernel_pairs, line_tol, ln_gamma, ln_trapezoid, meijer_g, pfq, trapezoid_line,
 )
 
 _Q_ABSCISSA = -0.5  # contour Re u for the Q_l representation
@@ -454,7 +453,7 @@ def kernel_n(params: EnsembleParams, x: float, y: float) -> KernelEval:
     return KernelEval(x=x, y=y, value=val, method="biorth_sum")
 
 
-def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix, iy) -> tuple[np.ndarray, np.ndarray]:
     """K(pts[ix], pts[iy]) = (1/2π) ∫ F(u) y^u (1/2πi) ∮ G(t) x^t / (-u - 1 - t) dt du
     for pairs that include every (p, p).
 
@@ -463,10 +462,10 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
     the circle sums C(u_i, x) and y^{u_i} once per distinct point, on the
     upper half line only: the circle is mirror-symmetric and G conjugate on
     it, so C(conj u, x) = conj C(u, x), as MellinLine.contract needs.  One
-    contract takes C(u_i, x) y^{u_i} for every pair, and check_kernel_loss
-    holds eps × the node-wise mass Σ_i |coeff_i| Σ_j |g_j(x)| / |-u_i - 1 -
-    t_j|, which is |g(x)| @ ContourData.mass, to its budget.  A line whose
-    coefficients overflow raises before any circle sum.
+    contract takes C(u_i, x) y^{u_i} for every pair.  Alongside the values it
+    returns the log of each pair's node-wise mass Σ_i |coeff_i| Σ_j |g_j(x)| /
+    |-u_i - 1 - t_j|, which is |g(x)| @ ContourData.mass, for kernel_pairs'
+    loss rule.  A line whose coefficients overflow raises before any circle sum.
     """
     log_pts = np.log(pts)
     line, tcirc, log_g, weight, mass = biorth_system(params).contour(float(np.max(np.abs(log_pts))))
@@ -486,13 +485,12 @@ def _contour_pairs(params: EnsembleParams, pts: np.ndarray, ix: np.ndarray, iy: 
     vals = line.contract(lambda sl: circ[:, ix[sl]] * y_u[:, iy[sl]], len(ix))[0]
     with np.errstate(divide="ignore"):  # a circle factor may underflow whole
         log_mass = np.log(np.abs(g) @ mass)  # per point x, without y^{-1/2}
-    check_kernel_loss("double contour", (_Q_ABSCISSA * log_pts)[iy] + log_mass[ix], vals, pts, ix, iy)
-    return vals
+    return vals, (_Q_ABSCISSA * log_pts)[iy] + log_mass[ix]
 
 
 def kernel_n_contour_grid(params: EnsembleParams, xs, ys) -> np.ndarray:
     """The double-contour kernel K_N(x_i, y_j) on a grid, rows x_i (see _contour_pairs)."""
-    return kernel_pairs(partial(_contour_pairs, params), *np.ix_(xs, ys))
+    return kernel_pairs("double contour", partial(_contour_pairs, params), *np.ix_(xs, ys))
 
 
 def kernel_n_contour(params: EnsembleParams, x: float, y: float) -> KernelEval:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
 from .specfun import (
-    ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, bessel_j, check_kernel_loss, gl_panels, kernel_pairs,
-    meijer_line, pfq,
+    ContourSpec, HypSeriesParams, KernelEval, MeijerSpec, bessel_j, gl_panels, kernel_pairs, meijer_line, pfq,
 )
 
 
@@ -126,6 +125,9 @@ def _gr0_deltas(params: HardEdgeParams, w, powers) -> np.ndarray:
 _U_RULE = np.polynomial.legendre.leggauss(12)
 # the widest _u_grid panel, in t = -ln u, past the Bessel oscillation
 _U_MAX_WIDTH = 4.0
+# pairs a _bessel_pairs block sums at once: a 201 x 201 grid at x <= 8 peaks at 49 MB
+# RSS, 401 x 401 at 57 MB, where one block of every pair took 149 and 488 MB
+_PAIR_BLOCK = 4096
 
 
 def _u_grid(x_max: float):
@@ -151,21 +153,27 @@ def _u_grid(x_max: float):
     return u, wt * u  # du = e^{-t} dt
 
 
-def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+def _bessel_pairs(params: HardEdgeParams, pts: np.ndarray, ix, iy) -> tuple[np.ndarray, None]:
     """r = 1: K(pts[ix], pts[iy]) by the u-integral of the two Bessel factors
     f(w) = w^{-ν/2} J_ν(2√w) (G^{1,0}, as _g10_series) and g(w) = w^{ν/2}
     J_ν(2√w) (G^{1,0}_{0,2}(w | ν, 0), as _gr0_deltas) at w = ux: one J a
-    node and point serves both."""
+    node and point serves both.  The pairs are summed _PAIR_BLOCK at a time,
+    so memory grows like nodes × points, not nodes × pairs.  This route has
+    no loss estimate: its second item is None."""
     u, w = _u_grid(float(np.max(pts)))
     uw = np.outer(u, pts)
     nu1 = float(params.nu[0])
     bessel = bessel_j(nu1, 2.0 * np.sqrt(uw))
     f = uw ** (-0.5 * nu1) * bessel * w[:, None]
     g = uw ** (0.5 * nu1) * bessel
-    return np.einsum("qp,qp->p", f[:, ix], g[:, iy])
+    vals = np.empty(len(ix))
+    for lo in range(0, len(ix), _PAIR_BLOCK):
+        sl = slice(lo, lo + _PAIR_BLOCK)
+        vals[sl] = np.einsum("qp,qp->p", f[:, ix[sl]], g[:, iy[sl]])
+    return vals, None
 
 
-def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix, iy) -> tuple[np.ndarray, np.ndarray]:
     """r >= 2: K(pts[ix], pts[iy]) by one Mellin-Barnes line, for pairs that
     include every diagonal pair (p, p).
 
@@ -182,8 +190,8 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     The alternating series loses about (r+1)(1 - cos(π/(r+1))) x^{1/(r+1)}
     nats, and the line about (r+1) cos(π/(r+1)) y^{1/(r+1)} to the decay of
     G^{r,0}.  The rounding error is bounded by eps times the unsigned mass
-    Σ_i |w_i F(s_i)| y^c Σ_k |c_k| x^k/(k+c+1), which specfun.check_kernel_loss
-    holds to its budget.
+    Σ_i |w_i F(s_i)| y^c Σ_k |c_k| x^k/(k+c+1), whose log this returns
+    alongside the values for kernel_pairs' loss rule.
     """
     spec = _gr0_spec(params)
     contour = ContourSpec.auto(spec)
@@ -196,15 +204,14 @@ def _mellin_pairs(params: HardEdgeParams, pts: np.ndarray, ix: np.ndarray, iy: n
     y_s = np.exp(np.outer(line.u, log_pts))
     log_scale = (c * log_pts)[iy] + np.log(np.abs(terms).T @ (1.0 / (k + 1.0 + c)))[ix]
     vals = line.contract(lambda sl: h[:, ix[sl]] * y_s[:, iy[sl]], len(ix))[0]
-    check_kernel_loss("hard-edge series", line.log_mass[0] + log_scale, vals, pts, ix, iy)
-    return vals
+    return vals, line.log_mass[0] + log_scale
 
 
 def _kernel_pairs(params: HardEdgeParams, x, y) -> np.ndarray:
     """K_hard on broadcast point arrays x, y (specfun.kernel_pairs): r >= 2 contracts one
     Mellin-Barnes line with the 0F_r series (see _mellin_pairs); r = 1, whose line does not
     decay, integrates the two Bessel factors over u."""
-    return kernel_pairs(partial(_bessel_pairs if params.r == 1 else _mellin_pairs, params), x, y)
+    return kernel_pairs("hard-edge series", partial(_bessel_pairs if params.r == 1 else _mellin_pairs, params), x, y)
 
 
 def k_hard_grid(params: HardEdgeParams, xs, ys) -> np.ndarray:

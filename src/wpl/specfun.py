@@ -594,24 +594,21 @@ class MellinLine:
 # a Q line's rounding floor in units of eps × unsigned mass: where its sum
 # stops moving between levels, and where its integrand is cut off
 _LINE_ROUNDING = 1e3
-# Largest estimated rounding error, relative to sqrt(K(x,x) K(y,y)), that a kernel line
-# sum returns; measured errors sit 20-100x below it, but up to 5x above at s >= 1
+# Largest estimated rounding error that check_loss lets a line sum return, relative to
+# sqrt(K(x,x) K(y,y)) for a kernel and |G(x)| for meijer_g; measured kernel errors sit
+# 20-100x below it, but up to 5x above at s >= 1
 _LOSS_BUDGET = 1e-8
 
 
-def check_kernel_loss(what: str, log_mass: np.ndarray, vals: np.ndarray, pts: np.ndarray, ix, iy) -> None:
-    """Raise NonConvergent, naming `what` and the worst pair, where eps ×
-    the unsigned mass exp(log_mass) of K(pts[ix], pts[iy]) exceeds
-    _LOSS_BUDGET of sqrt(K(x,x) K(y,y)); vals must include every pair (p, p)."""
-    root_diag = np.empty(len(pts))
-    root_diag[ix[ix == iy]] = np.sqrt(np.abs(vals[ix == iy]))
+def check_loss(log_mass: np.ndarray, scale: np.ndarray, describe) -> None:
+    """The one loss rule for a line sum's estimates: raise NonConvergent,
+    worded by describe(i, loss) for the worst entry i, where eps × the
+    unsigned mass exp(log_mass) exceeds _LOSS_BUDGET of scale."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        loss = np.finfo(float).eps * np.exp(log_mass) / (root_diag[ix] * root_diag[iy])
+        loss = np.finfo(float).eps * np.exp(log_mass) / scale
     if not np.all(loss <= _LOSS_BUDGET):  # NaN (no mass, no value) fails too
-        worst = int(np.argmax(loss))
-        raise NonConvergent(
-            f"{what} loses too much at (x, y) = ({pts[ix[worst]]:g}, {pts[iy[worst]]:g}): "
-            f"estimated error {loss[worst]:.1e} of sqrt(K(x,x) K(y,y))")
+        worst = int(np.argmax(np.where(np.isnan(loss), np.inf, loss)))
+        raise NonConvergent(describe(worst, loss[worst]))
 
 
 class KernelEval(NamedTuple):
@@ -621,17 +618,24 @@ class KernelEval(NamedTuple):
     method: str
 
 
-def kernel_pairs(pair_values, x, y) -> np.ndarray:
+def kernel_pairs(what: str, pair_values, x, y) -> np.ndarray:
     """K(x, y) on broadcast point arrays x, y (a grid from np.ix_(xs, ys)) by
-    pair_values(pts, ix, iy) = K(pts[ix], pts[iy]), pts the distinct points."""
+    pair_values(pts, ix, iy) = (K(pts[ix], pts[iy]), log of its unsigned mass
+    or None), pts the distinct points; check_loss holds the mass to
+    sqrt(K(x,x) K(y,y)), from the diagonal pairs appended last."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (np.all(np.isfinite(x) & (x > 0)) and np.all(np.isfinite(y) & (y > 0))):
         raise DomainError("the kernel requires finite x, y > 0")
     pts, inv = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
     n, d = x.size, np.arange(len(pts))
-    # the diagonal pairs come along: check_kernel_loss scales its loss by them
     ix, iy = np.concatenate([inv[:n], d]), np.concatenate([inv[n:], d])
-    return pair_values(pts, ix, iy)[:n].reshape(x.shape)
+    vals, log_mass = pair_values(pts, ix, iy)
+    if log_mass is not None:
+        root = np.sqrt(np.abs(vals[n:]))
+        check_loss(log_mass, root[ix] * root[iy], lambda i, loss: (
+            f"{what} loses too much at (x, y) = ({pts[ix[i]]:g}, {pts[iy[i]]:g}): "
+            f"estimated error {loss:.1e} of sqrt(K(x,x) K(y,y))"))
+    return vals[:n].reshape(x.shape)
 
 
 def end_decay_height(log_f, c: float, dtype=np.float64) -> int:
@@ -799,8 +803,9 @@ def meijer_line(spec: MeijerSpec, contour: ContourSpec, lx_max: float, power: in
         poles.append(-1j * (spec.left_pole_max - c))
         k = max(k, spec.a[: spec.n].count(max(spec.a[: spec.n])))
     d = max(abs(z) for z in poles)
-    # beyond e^{d lx_max} = 1/eps the line's rounding, eps e^{d lx_max} of x^c, is the larger error
-    growth = min(math.exp(d * lx_max), 1.0 / np.finfo(float).eps)
+    # beyond e^{d lx_max} = 1/eps the line's rounding, eps e^{d lx_max} of x^c, is the larger
+    # error (the exponent is clamped where math.exp would overflow, far past 1/eps)
+    growth = min(math.exp(min(d * lx_max, 700.0)), 1.0 / np.finfo(float).eps)
 
     def log_f(s):
         return _mb_log_integrand(spec, s) + (power * np.log(s) if power else 0)
@@ -848,12 +853,8 @@ def _meijer_eval(spec: MeijerSpec, contour: ContourSpec, x, power: int):
         line = meijer_line(spec, contour, float(np.max(np.abs(log_x))), power)
         out = line.eval(x_arr)[0]
         # the line's rounding, eps x^c Σ_i |coeff_i|, against |G(x)|
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            loss = np.finfo(float).eps * np.exp(line.c * log_x + line.log_mass[0]) / np.abs(out)
-        if not np.all(loss <= _LOSS_BUDGET):  # NaN fails too
-            worst = int(np.argmax(np.where(np.isnan(loss), np.inf, loss)))
-            raise NonConvergent(f"Meijer G line loses too much at x = {x_arr[worst]:g}: "
-                                f"estimated error {loss[worst]:.1e} of |G(x)|")
+        check_loss(line.c * log_x + line.log_mass[0], np.abs(out), lambda i, loss: (
+            f"Meijer G line loses too much at x = {x_arr[i]:g}: estimated error {loss:.1e} of |G(x)|"))
     elif spec.m == 1 and spec.n == 0 and spec.p < spec.q:
         _validate_contour(spec, contour)
         out = _meijer_series(spec, x_arr, power)

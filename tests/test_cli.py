@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wpl
 from wpl import cli
 from wpl.errors import ConfigError
 from wpl.sampler import effective_workers
+
+# the child processes import the wpl these tests import, PYTHONPATH set or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(wpl.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, tmp_path=None):
@@ -18,13 +25,14 @@ def run_cli(args, tmp_path=None):
         capture_output=True,
         text=True,
         timeout=600,
+        env=CHILD_ENV,
     )
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg, sampler's one scipy use, cost half of wpl.cli's import time
     code = "import sys, wpl.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 

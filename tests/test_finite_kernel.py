@@ -642,6 +642,20 @@ def test_kernel_contour_loss_raises(params, x):
         fk.kernel_n_contour(params, x, x)
 
 
+def test_contour_pairs_return_the_estimate_that_kernel_pairs_raises_on():
+    # the benchmark's Laguerre N = 40 fault at x = y = 40: the route returns
+    # values and their log masses, and only the public call, through
+    # specfun.kernel_pairs, raises
+    params, one = EnsembleParams(N=40, r=1, s=0, nu=(0,)), np.array([0, 0])
+    vals, log_mass = fk._contour_pairs(params, np.array([40.0]), one, one)
+    loss = np.finfo(float).eps * np.exp(log_mass) / np.abs(vals)
+    assert np.all(np.isfinite(vals)) and np.all(loss > sf._LOSS_BUDGET)
+    with pytest.raises(NonConvergent, match=re.escape(
+            f"double contour loses too much at (x, y) = (40, 40): estimated error {loss[0]:.1e} "
+            "of sqrt(K(x,x) K(y,y))")):
+        fk.kernel_n_contour_grid(params, [40.0], [40.0])
+
+
 def test_kernel_contour_matches_longdouble_sum():
     # exact rational P x longdouble Q; at x = 10 this sum equals 40-digit
     # mpmath to the last digit.  The hand-set line height left 4.3e-8 here

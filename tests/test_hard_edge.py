@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import scipy.special
 
 from wpl import hard_edge as he
+from wpl import specfun as sf
 from wpl.errors import CoincidentPoints, DomainError, NonConvergent, UnsupportedR
 from wpl.hard_edge import HardEdgeParams
 from wpl.specfun import bessel_j
@@ -413,8 +415,10 @@ def test_g10_terms_are_the_row_by_row_terms():
 
 def test_bessel_pairs_take_one_bessel_a_node(monkeypatch):
     # f = w^{-ν/2} J and g = w^{ν/2} J from one J, bit for bit the two
-    # factors evaluated apart (_g10_series and _gr0_deltas)
-    pts = np.array([0.3, 2.0, 9.0, 40.0])
+    # factors evaluated apart (_g10_series and _gr0_deltas) and summed over
+    # every pair at once; 4900 pairs span two _PAIR_BLOCKs.  No estimate.
+    pts = np.geomspace(0.3, 40.0, 70)
+    assert len(pts) ** 2 > he._PAIR_BLOCK
     ix, iy = np.divmod(np.arange(len(pts) ** 2), len(pts))
     for params in (R1, HardEdgeParams(r=1, nu=(2,))):
         u, w = he._u_grid(float(np.max(pts)))
@@ -423,6 +427,21 @@ def test_bessel_pairs_take_one_bessel_a_node(monkeypatch):
         g = he._gr0_deltas(params, uw, (0,))[0]
         calls = []
         monkeypatch.setattr(he, "bessel_j", lambda nu, x: calls.append(nu) or bessel_j(nu, x))
-        got = he._bessel_pairs(params, pts, ix, iy)
+        got, log_mass = he._bessel_pairs(params, pts, ix, iy)
         monkeypatch.undo()
         assert np.array_equal(got, np.einsum("qp,qp->p", f[:, ix], g[:, iy])) and len(calls) == 1
+        assert log_mass is None
+
+
+def test_mellin_pairs_return_the_estimate_that_kernel_pairs_raises_on():
+    # r = 2 at (x, y) = (2000, 5): the route returns values and their log
+    # masses, and only the public call, through specfun.kernel_pairs, raises
+    pts, ix, iy = np.array([5.0, 2000.0]), np.array([1, 0, 1]), np.array([0, 0, 1])
+    vals, log_mass = he._mellin_pairs(R2, pts, ix, iy)
+    root = np.sqrt(np.abs(vals[1:]))
+    loss = np.finfo(float).eps * np.exp(log_mass) / (root[ix] * root[iy])
+    assert np.all(np.isfinite(vals)) and loss[0] > sf._LOSS_BUDGET
+    with pytest.raises(NonConvergent, match=re.escape(
+            f"hard-edge series loses too much at (x, y) = (2000, 5): estimated error {loss[0]:.1e} "
+            "of sqrt(K(x,x) K(y,y))")):
+        he.k_hard(R2, 2000.0, 5.0)

@@ -16,6 +16,7 @@ from wpl.errors import (
     LowerParamPole,
     NonConvergent,
     PoleError,
+    WplError,
 )
 
 
@@ -546,7 +547,7 @@ def test_contour_pairs_match_whole_line():
     def basis(u):
         return ((1 / (-u[:, None] - 1 - tcirc)) @ g.T)[:, ix] * np.exp(np.outer(u, np.log(pts[iy])))
 
-    assert_contract_matches_whole_line(line, basis, fk._contour_pairs(params, pts, ix, iy))
+    assert_contract_matches_whole_line(line, basis, fk._contour_pairs(params, pts, ix, iy)[0])
 
 
 def test_hard_edge_contracts_match_whole_line():
@@ -565,7 +566,7 @@ def test_hard_edge_contracts_match_whole_line():
         return ((1 / (k + 1 + s[:, None])) @ terms)[:, ix] * np.exp(np.outer(s, np.log(pts[iy])))
 
     line = sf.meijer_line(spec, sf.ContourSpec.auto(spec), lx_max)
-    assert_contract_matches_whole_line(line, pair_basis, he._mellin_pairs(params, pts, ix, iy))
+    assert_contract_matches_whole_line(line, pair_basis, he._mellin_pairs(params, pts, ix, iy)[0])
     powers = (0, 1, 2)
     pw, lw = np.repeat(powers, len(pts)) - 2, np.tile(np.log(pts), len(powers))
     line = sf.meijer_line(spec, sf.ContourSpec.auto(spec), lx_max, power=2)
@@ -736,6 +737,40 @@ def test_meijer_g_raises_where_the_line_rounding_outgrows_it(orders, a, b, x):
         sf.meijer_g(spec, sf.ContourSpec.auto(spec), x)
     with pytest.raises(NonConvergent, match="loses too much"):
         sf.meijer_g(spec, sf.ContourSpec.auto(spec), np.array([1.0, x]))
+
+
+def test_check_loss_fails_nan_and_inf_and_names_the_worst():
+    # eps e^{log_mass} against _LOSS_BUDGET of scale; a NaN or inf loss is the worst entry
+    def describe(i, loss):
+        return f"entry {i}: {loss:.1e}"
+
+    sf.check_loss(np.array([0.0, 10.0]), np.array([1.0, 1e-3]), describe)
+    for log_mass, scale, message in [
+        ([0.0, 20.0, 30.0, 0.0], [1.0, 1.0, 1.0, 1.0], "entry 2: 2.4e-03"),
+        ([0.0, np.nan, 30.0, 0.0], [1.0, 1.0, 1.0, 1.0], "entry 1: nan"),
+        ([0.0, 0.0, 30.0, 0.0], [1.0, 1.0, 1.0, np.nan], "entry 3: nan"),
+        ([0.0, 30.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0], "entry 2: inf"),
+        ([0.0, 30.0, 800.0, 0.0], [1.0, 1.0, 1.0, 1.0], "entry 2: inf"),
+        ([0.0, -np.inf, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0], "entry 1: nan"),  # no mass, no value
+    ]:
+        with pytest.raises(NonConvergent, match=f"^{message}$"):
+            sf.check_loss(np.array(log_mass), np.array(scale), describe)
+
+
+@pytest.mark.parametrize("x", [1e-30, 1e30])
+def test_meijer_g_far_out_raises_a_wpl_error(x):
+    # the Q_l line at (20,1,1), abscissa -10.5: e^{d |ln x|} passes float range
+    from wpl import finite_kernel as fk
+    from wpl.freeprob import EnsembleParams
+
+    params = EnsembleParams(N=20, r=1, s=1, nu=(0,), mu=(0,))
+    for l in (0, 3, 19):
+        spec = fk.q_l_meijer_spec(params, l)
+        contour = sf.ContourSpec.auto(spec)
+        with pytest.raises(WplError):
+            sf.meijer_g(spec, contour, x)
+        with pytest.raises(WplError):
+            sf.meijer_g_mellin_power(spec, contour, x, 1)
 
 
 def test_meijer_line_panels():
