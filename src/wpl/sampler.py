@@ -1,9 +1,10 @@
 """Monte Carlo engine for the product ensemble.
 
-Draws X = G_r...G_1 (Gt_s...Gt_1)^{-1} as chains of triangular factors,
-takes the eigenvalues of X†X as squared singular values, estimates
-densities and moments, and provides the determinant oracle for the
-generalized characteristic polynomial.
+Draws X = G_r...G_1 (Gt_s...Gt_1)^{-1} as chains of triangular factors
+whose first factor on one side (Gt_1, or G_1 at s = 0) is a real
+bidiagonal, takes the eigenvalues of X†X as squared singular values,
+estimates densities and moments, and provides the determinant oracle for
+the generalized characteristic polynomial.
 
 Randomness is counter-based (Philox) and keyed by (seed, stream_id): the
 same key reproduces bit-identical draws on any platform, and distinct
@@ -85,47 +86,96 @@ def _triangular_factor(gen: np.random.Generator, batch: int, n: int, N: int) -> 
     Bartlett: |R_ii|^2 ~ Gamma(n - i) for i = 0..N-1, entries above the
     diagonal CN(0, 1).  The N x N induced square with density
     ∝ (det M†M)^{n-N} e^{-Tr M†M} has the same R law.  Only the strict
-    upper triangle is drawn: N(N-1)/2 complex normals a factor from
-    `_ginibre`, then the N gammas of each diagonal.
+    upper triangle is drawn, as `_ginibre` draws N(N-1)/2 complex normals
+    (all real parts, then all imaginary parts), then the N gammas of the
+    diagonal.
     """
-    R = np.zeros((batch, N, N), dtype=complex)
-    row, col = np.triu_indices(N, 1)
-    R[:, row, col] = _ginibre(gen, batch, row.size)
-    i = np.arange(N)
-    R[:, i, i] = np.sqrt(gen.standard_gamma(n - i, size=(batch, N)))
-    return R
+    # flat indices of the strict upper triangle in row order: the entries
+    # of row i - 1 sit i(i + 1)/2 past their rank
+    i = np.arange(1, N)
+    upper = np.arange(N * (N - 1) // 2) + np.repeat(i * (i + 1) // 2, N - i)
+    R = np.zeros((batch, N * N), dtype=complex)
+    # numpy divides a complex by a real c as a product with 1/c, so these
+    # are `_ginibre`'s entries bit for bit, without its complex temporaries
+    scale = 1.0 / math.sqrt(2.0)
+    R.real[:, upper] = gen.standard_normal((batch, upper.size)) * scale
+    R.imag[:, upper] = gen.standard_normal((batch, upper.size)) * scale
+    R[:, :: N + 1] = np.sqrt(gen.standard_gamma(n - np.arange(N), size=(batch, N)))
+    return R.reshape(batch, N, N)
 
 
-def _chains(gen: np.random.Generator, params: EnsembleParams, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """R_A = R_r...R_1 and R_B = R'_s...R'_1 (the identity at s = 0).
+def _bidiagonal_factor(gen: np.random.Generator, batch: int, n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """batch of N x N real upper-bidiagonal factors D of n x N Ginibre draws.
 
-    One draw of A = G_r...G_1 is Q_A R_A, since G_{k+1} Q_k is again
-    Ginibre by unitary invariance, and likewise B = Q_B R_B.  So
-    A†A = R_A†R_A, B†B = R_B†R_B, and X = A B^{-1} has the singular values
-    of R_A R_B^{-1}.
+    Dumitriu-Edelman: Householder bidiagonalisation G = U D V† leaves
+    D_ii ~ sqrt Gamma(n - i) (the Bartlett diagonal) and
+    D_{i,i+1} ~ sqrt Gamma(N - 1 - i), all independent, and since G is
+    bi-unitarily invariant, U and V may be taken Haar and independent of
+    D.  Returns the diagonal (N gammas) and the superdiagonal (N - 1
+    gammas after them).
     """
-    eye = np.broadcast_to(np.eye(params.N, dtype=complex), (batch, params.N, params.N))
+    d = np.sqrt(gen.standard_gamma(n - np.arange(N), size=(batch, N)))
+    e = np.sqrt(gen.standard_gamma(N - 1 - np.arange(N - 1), size=(batch, N - 1)))
+    return d, e
+
+
+def _times_bidiagonal(R: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """R D for D with diagonal d and superdiagonal e: column j is d_j R_j + e_{j-1} R_{j-1}."""
+    RD = R * d[:, None, :]
+    RD[:, :, 1:] += R[:, :, :-1] * e[:, None, :]
+    return RD
+
+
+def _chains(
+    gen: np.random.Generator, params: EnsembleParams, batch: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """R_A, R_B and the bidiagonal D = (d, e) of a batch of draws.
+
+    One draw of A = G_r...G_1 is Q_A R_r...R_1, since G_{k+1} Q_k is again
+    Ginibre by unitary invariance, and likewise B = Q_B R'_s...R'_1.  The
+    first factor of B (of A at s = 0) is drawn as U D V† instead: the next
+    factor times U is again Ginibre, and V† either meets A's first factor,
+    which absorbs it, or stands at an end of X, where it leaves the
+    singular values alone.  So X = A B^{-1} has the singular values of
+    R_A (R_B D)^{-1} (of R_A D at s = 0), and (A†A, B†B) is
+    (R_A†R_A, D†R_B†R_B D) (at s = 0, (D†R_A†R_A D, I)) up to one common
+    unitary conjugation.  R_A and R_B are the triangular products past D,
+    the identity where that is empty.
+    """
+    N = params.N
+    eye = np.broadcast_to(np.eye(N), (batch, N, N))
+    lead = 1 if params.s else 0
     chains = []
-    for exponents in (params.nu, params.mu):
+    for k, exponents in enumerate((params.nu, params.mu)):
+        if k == lead:
+            D = _bidiagonal_factor(gen, batch, N + exponents[0], N)
+            exponents = exponents[1:]
         R = eye
         for e in exponents:
-            F = _triangular_factor(gen, batch, params.N + e, params.N)
+            F = _triangular_factor(gen, batch, N + e, N)
             R = F if R is eye else F @ R
         chains.append(R)
-    return chains[0], chains[1]
+    return chains[0], chains[1], D
 
 
 def sample_product_spectrum(params: EnsembleParams, rng: RngStream) -> SpectrumSample:
     """Eigenvalues of X†X for one draw of the factor chain (raw scaling).
 
-    They are the squared singular values of T = R_A R_B^{-1}, from one
-    triangular solve and an SVD of T, never from T†T, whose condition
-    number is the square of T's.
+    They are the squared singular values of T = R_A D^{-1} R_B^{-1} (of
+    T = R_A D at s = 0), never the eigenvalues of T†T, whose condition
+    number is the square of T's.  T† comes from one banded solve with D^T
+    and, at s >= 2, one triangular solve, then the SVD.
     """
     import scipy.linalg  # here, not at module level: it is most of wpl's import time
 
-    R_A, R_B = (R[0] for R in _chains(rng.generator(), params, 1))
-    T = R_A if params.s == 0 else scipy.linalg.solve_triangular(R_B, R_A.conj().T, trans="C")
+    R_A, R_B, (d, e) = _chains(rng.generator(), params, 1)
+    if params.s == 0:
+        T = _times_bidiagonal(R_A, d, e)[0]
+    else:
+        # D^T in banded form: d on the diagonal, e below it
+        T = scipy.linalg.solve_banded((1, 0), np.stack([d[0], np.append(e[0], 0.0)]), R_A[0].conj().T)
+        if params.s > 1:
+            T = scipy.linalg.solve_triangular(R_B[0], T, trans="C")
     eig = np.sort(np.linalg.svd(T, compute_uv=False) ** 2)
     return SpectrumSample(params=params, eigenvalues=eig, scaling=Scaling.RAW)
 
@@ -189,7 +239,11 @@ def sample_spectra(
 
 
 def _charpoly_chunk(params: EnsembleParams, lam: np.ndarray, rng: RngStream, size: int) -> np.ndarray:
-    R_A, R_B = _chains(rng.generator(), params, size)
+    R_A, R_B, (d, e) = _chains(rng.generator(), params, size)
+    if params.s:
+        R_B = _times_bidiagonal(R_B, d, e)
+    else:
+        R_A = _times_bidiagonal(R_A, d, e)
     AhA = np.conj(np.swapaxes(R_A, -1, -2)) @ R_A
     BhB = np.conj(np.swapaxes(R_B, -1, -2)) @ R_B
     out = np.empty((len(lam), size))
@@ -207,7 +261,9 @@ def mc_charpoly(
 ):
     """Monte Carlo mean and standard error of det(lam B†B - A†A).
 
-    A†A = R_A†R_A and B†B = R_B†R_B come from the triangular factor chains.
+    A†A and B†B come from the factor chains: R_A†R_A and D†R_B†R_B D, or
+    D†R_A†R_A D and the identity at s = 0.  They are the true pair up to
+    one common unitary conjugation, which leaves the determinant alone.
     `lam` may be a scalar or a vector (shared draws, per-lambda statistics).
     """
     if samples < 100:

@@ -8,6 +8,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from wpl import finite_kernel as fk
 from wpl import freeprob as fp
 from wpl import sampler as sp
 from wpl.errors import AlreadyScaled, DomainError, EmptySample
@@ -99,6 +100,72 @@ def test_induced_square_scalar_is_gamma():
     assert ks < 0.02
 
 
+def _bidiagonal(d, e):
+    """Dense batch of the upper-bidiagonal matrices with diagonals d and superdiagonals e."""
+    N = d.shape[-1]
+    D = np.zeros(d.shape + (N,))
+    i = np.arange(N)
+    D[:, i, i] = d
+    D[:, i[:-1], i[1:]] = e
+    return D
+
+
+def test_bidiagonal_factor_draws_only_what_it_keeps():
+    # one factor takes the N gammas of the diagonal, then the N - 1 gammas
+    # of the superdiagonal, and nothing else
+    n, N = 9, 6
+    gen, twin = RngStream(53).generator(), RngStream(53).generator()
+    d, e = sp._bidiagonal_factor(gen, 1, n, N)
+    diag = twin.standard_gamma(n - np.arange(N))
+    sup = twin.standard_gamma(N - 1 - np.arange(N - 1))
+    assert _same_state(gen.bit_generator.state, twin.bit_generator.state)
+    assert np.array_equal(d[0], np.sqrt(diag))
+    assert np.array_equal(e[0], np.sqrt(sup))
+
+
+def test_times_bidiagonal_is_the_product():
+    R = sp._triangular_factor(RngStream(54).generator(), 3, 7, 5)
+    d, e = sp._bidiagonal_factor(RngStream(55).generator(), 3, 7, 5)
+    assert np.allclose(sp._times_bidiagonal(R, d, e), R @ _bidiagonal(d, e), rtol=1e-14, atol=0.0)
+
+
+def test_bidiagonal_factor_trace_mean():
+    # E Tr D^T D = sum of the Gamma shapes = n N, as for the triangular factor
+    n, N, draws = 6, 4, 60_000
+    d, e = sp._bidiagonal_factor(RngStream(33).generator(), draws, n, N)
+    traces = (d**2).sum(axis=1) + (e**2).sum(axis=1)
+    sigma = traces.std(ddof=1) / math.sqrt(draws)
+    assert abs(traces.mean() - n * N) < 3.0 * sigma
+
+
+def test_bidiagonal_factor_matches_triangular_singular_values():
+    # D and R are each an n x N Ginibre draw up to unitaries, so their
+    # singular values share one law
+    n, N, draws = 10, 8, 1500
+    D = _bidiagonal(*sp._bidiagonal_factor(RngStream(23).generator(), draws, n, N))
+    R = sp._triangular_factor(RngStream(24).generator(), draws, n, N)
+    s_bid = np.linalg.svd(D, compute_uv=False)[:, 0]
+    s_tri = np.linalg.svd(R, compute_uv=False)[:, 0]
+    assert scipy.stats.ks_2samp(s_bid, s_tri).pvalue > 0.01
+
+
+@pytest.mark.parametrize("nu, mu", (((1, 0), ()), ((2,), (4,)), ((0, 1), (5,)), ((1,), (4, 6)), ((), (4,))))
+def test_product_trace_mean_exact(nu, mu):
+    # E Tr X†X = N prod_j (N + nu_j) / prod_k mu_k: E A†A = prod_j (N + nu_j) I,
+    # and each inverse factor gives E (G†G)^{-1} = I / mu (complex inverse
+    # Wishart); mu >= 4 keeps enough moments finite for the sample's own
+    # standard error, which is about 1% of the mean at 5000 draws
+    N, draws = 3, 5000
+    params = EnsembleParams(N=N, r=len(nu), s=len(mu), nu=nu, mu=mu)
+    rng = RngStream(91)
+    traces = np.array(
+        [sp.sample_product_spectrum(params, rng.substream(i)).eigenvalues.sum() for i in range(draws)]
+    )
+    exact = N * math.prod(N + v for v in nu) / math.prod(mu)
+    z = (traces.mean() - exact) / (traces.std(ddof=1) / math.sqrt(draws))
+    assert abs(z) <= 4.0
+
+
 def test_product_spectrum_psd_and_sorted():
     params = EnsembleParams(N=20, r=2, s=1, nu=(0, 1), mu=(0,))
     smp = sp.sample_product_spectrum(params, RngStream(5))
@@ -116,21 +183,28 @@ def test_product_spectrum_determinism():
 
 
 @pytest.mark.parametrize("seed", (1, 2))
-@pytest.mark.parametrize("r, s", ((10, 0), (4, 2)))
+@pytest.mark.parametrize("r, s", ((10, 0), (4, 2), (1, 1), (2, 1)))
 def test_product_spectrum_extremes_match_mpmath(r, s, seed):
-    # rebuild the draw's triangular factors from the same stream, multiply
-    # them and invert the inverse chain at 40 digits, and compare the
-    # smallest and largest eigenvalue (their ratio is 1e-22 at r = 10)
+    # rebuild the draw's factors from the same stream (the first factor of
+    # B's chain, or of A's at s = 0, is the bidiagonal), multiply them and
+    # invert the inverse chain at 40 digits, and compare the smallest and
+    # largest eigenvalue (their ratio is 1e-22 at r = 10); (1,1) and (2,1)
+    # take the banded solve alone, (4,2) a triangular solve after it
     mpmath = pytest.importorskip("mpmath")
     params = EnsembleParams(N=30, r=r, s=s, nu=(0,) * r, mu=(0,) * s)
     eig = sp.sample_product_spectrum(params, RngStream(seed)).eigenvalues
     gen = RngStream(seed).generator()
+    N, lead = params.N, 1 if s else 0
     with mpmath.workdps(40):
         chains = []
-        for exponents in (params.nu, params.mu):
-            R = mpmath.eye(params.N)
-            for e in exponents:
-                R = mpmath.matrix(sp._triangular_factor(gen, 1, params.N + e, params.N)[0].tolist()) * R
+        for k, exponents in enumerate((params.nu, params.mu)):
+            R = mpmath.eye(N)
+            for j, e in enumerate(exponents):
+                if k == lead and j == 0:
+                    F = _bidiagonal(*sp._bidiagonal_factor(gen, 1, N + e, N))[0]
+                else:
+                    F = sp._triangular_factor(gen, 1, N + e, N)[0]
+                R = mpmath.matrix(F.tolist()) * R
             chains.append(R)
         T = chains[0] * mpmath.inverse(chains[1]) if s else chains[0]
         sv = sorted(mpmath.svd_c(T, compute_uv=False))
@@ -209,6 +283,17 @@ def test_mc_charpoly_scalar_cases():
     assert abs(mean - 1.0) < 3 * err
     with pytest.raises(DomainError):
         sp.mc_charpoly(p11, 2.0, 50, RngStream(1))
+
+
+@pytest.mark.parametrize("nu, mu", (((0, 1), ()), ((1,), (0,)), ((0,), (1, 0)), ((), (2,))))
+def test_mc_charpoly_matches_exact(nu, mu):
+    # the bidiagonal starts A's chain at s = 0 and B's otherwise, so these
+    # cases put it on each side of the pencil det(lam B†B - A†A)
+    params = EnsembleParams(N=3, r=len(nu), s=len(mu), nu=nu, mu=mu)
+    lam = np.array([0.5, 1.0, 2.0])
+    mean, err = sp.mc_charpoly(params, lam, 40_000, RngStream(57))
+    exact = np.array([fk.charpoly_exact(params, float(v)) for v in lam])
+    assert np.all(np.abs(mean - exact) <= 4.0 * err)
 
 
 def test_mc_charpoly_worker_invariance():
